@@ -5,7 +5,6 @@
 //!            [--refit-claims N] [--refit-millis MS] [--rhat-gate X]
 //!            [--full-refit-every N] [--snapshot FILE] [--port-file FILE]
 //!            [--io-timeout-millis MS] [--domain NAME=KIND]...
-//!            [--frontend auto|epoll|blocking]
 //!            [--labels FILE] [--no-shadows]
 //!            [--wal-dir DIR] [--wal-sync always|never|interval:MS]
 //!            [--wal-segment-bytes N]
@@ -17,7 +16,8 @@
 //! ```
 //!
 //! `serve` runs the sharded multi-domain server until
-//! `POST /admin/shutdown`; `--domain` (repeatable) pre-creates extra
+//! `POST /admin/shutdown`; its HTTP front end is an epoll loop, so it
+//! serves on Linux only. `--domain` (repeatable) pre-creates extra
 //! domains beside the implicit boolean `default` (KIND is `boolean`,
 //! `real_valued`, or `positive_only`). `--wal-dir` turns on the
 //! write-ahead log: accepted batches are journaled and fsync'd (per
@@ -64,7 +64,6 @@ fn usage(msg: &str) -> ! {
          \x20            [--refit-claims N] [--refit-millis MS] [--rhat-gate X]\n\
          \x20            [--full-refit-every N] [--snapshot FILE] [--port-file FILE]\n\
          \x20            [--io-timeout-millis MS] [--domain NAME=KIND]...\n\
-         \x20            [--frontend auto|epoll|blocking]\n\
          \x20            [--labels FILE] [--no-shadows]\n\
          \x20            [--wal-dir DIR] [--wal-sync always|never|interval:MS]\n\
          \x20            [--wal-segment-bytes N]\n\
@@ -150,15 +149,6 @@ fn serve(mut args: impl Iterator<Item = String>) {
                     .parse()
                     .unwrap_or_else(|e| usage(&format!("--domain: {e}")));
                 config.domains.push((name.to_owned(), kind));
-            }
-            // Which HTTP front end serves connections: the epoll event
-            // loop (keep-alive + pipelining; Linux), the blocking thread
-            // pool (portable), or auto-pick (default).
-            "--frontend" => {
-                let text: String = parse_or_usage(args.next(), "--frontend");
-                config.frontend = text
-                    .parse()
-                    .unwrap_or_else(|e: String| usage(&format!("--frontend: {e}")));
             }
             "--labels" => labels_file = Some(parse_or_usage(args.next(), "--labels")),
             "--no-shadows" => config.refit.shadows = false,

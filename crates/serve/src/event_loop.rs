@@ -1,15 +1,15 @@
-//! The event-driven HTTP front end: one epoll readiness loop, a
-//! connection table it exclusively owns, and a worker pool running the
-//! request handlers off-loop.
+//! The HTTP front end: one epoll readiness loop, a connection table it
+//! exclusively owns, and a worker pool running the request handlers
+//! off-loop. It is the server's only front end, so it serves on Linux
+//! only; elsewhere [`crate::server::Server::start`] fails at boot.
 //!
-//! Replaces "one blocking reader thread per in-flight connection" with
-//! "one loop watching every connection": the loop thread accepts,
-//! reads, parses (`crate::http::parse_request`), and writes; complete
-//! requests are dispatched to a [`WorkerPool`] so a slow handler (a
-//! refit admin call, a big snapshot) never stalls readiness; finished
-//! responses come back through a completion queue plus a socketpair
-//! waker. Connection count is therefore decoupled from thread count —
-//! the thread census is `1 (loop) + workers`, independent of how many
+//! One loop watches every connection: the loop thread accepts, reads,
+//! parses (`crate::http::parse_request`), and writes; complete requests
+//! are dispatched to the worker pool so a slow handler (a refit admin
+//! call, a big snapshot) never stalls readiness; finished responses
+//! come back through a completion queue plus a socketpair waker.
+//! Connection count is therefore decoupled from thread count — the
+//! thread census is `1 (loop) + workers`, independent of how many
 //! keep-alive peers are parked. See DESIGN.md §6 "Readiness-loop front
 //! end".
 //!
@@ -21,13 +21,12 @@
 //! numbers, no reordering buffer — while distinct connections still run
 //! handlers in parallel.
 //!
-//! **Deadlines** (the slow-loris protections, ported from the blocking
-//! front end): a *request deadline* bounds the time from a request's
-//! first byte to its last (drip-feeding a header one byte at a time
-//! trips it); an *idle deadline* reaps keep-alive connections with no
-//! request in progress; a *write deadline* drops peers that stop
-//! reading their response. All three derive from
-//! [`crate::server::ServeConfig::io_timeout`].
+//! **Deadlines** (the slow-loris protections): a *request deadline*
+//! bounds the time from a request's first byte to its last
+//! (drip-feeding a header one byte at a time trips it); an *idle
+//! deadline* reaps keep-alive connections with no request in progress;
+//! a *write deadline* drops peers that stop reading their response. All
+//! three derive from [`crate::server::ServeConfig::io_timeout`].
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -37,7 +36,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::http::{parse_request, render_response, Parsed, Request, Response, WorkerPool};
+use crate::http::{parse_request, render_response, Parsed, Request, Response};
 use crate::obs::{Counter, Gauge};
 use crate::sync::LockExt;
 
@@ -46,7 +45,8 @@ pub const SUPPORTED: bool = cfg!(unix) && epoll::SUPPORTED;
 
 /// Event-loop tuning handed down from [`crate::server::ServeConfig`].
 pub(crate) struct EventLoopConfig {
-    /// Worker threads executing request handlers.
+    /// Worker threads executing request handlers (at least 1; checked
+    /// by `Server::start`).
     pub workers: usize,
     /// The request/idle/write deadline base; `None` disables all three.
     pub io_timeout: Option<Duration>,
@@ -148,10 +148,57 @@ impl Conn {
     }
 }
 
+/// The handler workers: a fixed pool of threads draining the loop's job
+/// queue. The loop thread holds the queue's only sender, so the queue
+/// closes, and every worker exits, once the loop thread is gone.
+struct WorkerPool {
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl WorkerPool {
+    /// Spawns `size` workers named `ltm-handler-{i}`, each running `work`
+    /// on every job it receives; returns them with the queue's sender.
+    fn start(size: usize, work: Arc<dyn Fn(Job) + Send + Sync>) -> (Self, mpsc::Sender<Job>) {
+        let (sender, receiver) = mpsc::channel::<Job>();
+        let receiver = Arc::new(Mutex::new(receiver));
+        let workers = (0..size)
+            .map(|i| {
+                let receiver = Arc::clone(&receiver);
+                let work = Arc::clone(&work);
+                std::thread::Builder::new()
+                    .name(format!("ltm-handler-{i}"))
+                    .spawn(move || loop {
+                        let next = receiver.locked().recv();
+                        let Ok(job) = next else {
+                            return; // the loop dropped the sender: shutdown
+                        };
+                        // A panicking handler must not shrink the pool:
+                        // contain it, drop the job, keep serving.
+                        let result =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(job)));
+                        if result.is_err() {
+                            crate::log_error!("http", "request handler panicked; worker continues");
+                        }
+                    })
+                    // analyzer: allow(panic-expect) -- boot-time spawn; fails only on OS thread exhaustion, before the server serves
+                    .expect("spawn http worker")
+            })
+            .collect();
+        (Self { workers }, sender)
+    }
+
+    /// Joins every worker (call once the queue's sender is dropped).
+    fn join(self) {
+        for worker in self.workers {
+            let _ = worker.join();
+        }
+    }
+}
+
 /// A running event-loop front end.
 pub(crate) struct EventLoop {
-    join: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool<Job>>,
+    join: JoinHandle<()>,
+    pool: WorkerPool,
     waker: Arc<std::os::unix::net::UnixStream>,
     stop: Arc<AtomicBool>,
 }
@@ -209,8 +256,7 @@ impl EventLoop {
             // coalesce), so WouldBlock is success here.
             let _ = (&*worker_waker).write(&[1u8]);
         });
-        let pool = WorkerPool::new(cfg.workers, "ltm-handler", worker);
-        let jobs = pool.sender_clone();
+        let (pool, jobs) = WorkerPool::start(cfg.workers, worker);
 
         let loop_stop = Arc::clone(&stop);
         let join = std::thread::Builder::new()
@@ -235,23 +281,21 @@ impl EventLoop {
             .expect("spawn event loop thread");
 
         Ok(EventLoop {
-            join: Some(join),
-            pool: Some(pool),
+            join,
+            pool,
             waker: waker_tx,
             stop,
         })
     }
 
     /// Stops the loop and joins it and every worker.
-    pub(crate) fn shutdown(mut self) {
+    pub(crate) fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = (&*self.waker).write(&[1u8]);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
+        // The loop thread's exit drops the job queue's sender, so each
+        // worker finishes its job in hand and returns.
+        let _ = self.join.join();
+        self.pool.join();
     }
 }
 
@@ -263,7 +307,7 @@ struct LoopState {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     completions: Arc<Mutex<VecDeque<Completion>>>,
-    jobs: Option<mpsc::Sender<Job>>,
+    jobs: mpsc::Sender<Job>,
     cfg: EventLoopConfig,
 }
 
@@ -600,15 +644,13 @@ impl LoopState {
     }
 
     fn dispatch(&self, token: u64, request: Request, close_after: bool) {
-        if let Some(jobs) = &self.jobs {
-            // A send error means the pool is shutting down; the
-            // connection is torn down with the loop moments later.
-            let _ = jobs.send(Job {
-                token,
-                request,
-                close_after,
-            });
-        }
+        // A send error means the workers are gone (shutdown); the
+        // connection is torn down with the loop moments later.
+        let _ = self.jobs.send(Job {
+            token,
+            request,
+            close_after,
+        });
     }
 
     /// Moves completed responses from the workers into their

@@ -1,6 +1,5 @@
-//! A minimal HTTP/1.1 layer on `std::net` — request parsing (blocking
-//! and incremental), response rendering, a generic worker pool, and
-//! clients (one-shot and keep-alive).
+//! A minimal HTTP/1.1 layer on `std::net` — incremental request
+//! parsing, response rendering, and clients (one-shot and keep-alive).
 //!
 //! Implemented in-repo rather than pulling in a web framework, consistent
 //! with the offline vendored-dependency policy (DESIGN.md §8): the
@@ -8,18 +7,11 @@
 //! and nothing more. Chunked encoding and TLS are out of scope; HTTP/1.1
 //! **keep-alive and pipelining** are supported by the event-driven front
 //! end (see [`crate::event_loop`]), whose per-connection state machine
-//! feeds bytes through `parse_request` here. The blocking fallback
-//! front end still answers one `Connection: close` request per socket
-//! via `read_request_with_deadline` (both are crate-internal).
+//! feeds bytes through `parse_request` here (crate-internal).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-
-use crate::sync::LockExt;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Maximum accepted request-head (request line + headers) size.
 pub(crate) const MAX_HEAD: usize = 16 * 1024;
@@ -38,7 +30,7 @@ pub struct Request {
 }
 
 /// A routed response: status code, content type, and body. What the
-/// request handlers hand back to whichever front end dispatched them.
+/// request handlers hand back to the event loop to frame and write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
@@ -55,8 +47,8 @@ pub struct Response {
 // ---------------------------------------------------------------------------
 
 /// Why a byte stream failed to parse as a request. [`ParseError::status`]
-/// picks the response status a front end should answer with before
-/// closing the connection.
+/// picks the response status the event loop answers with before closing
+/// the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ParseError {
     /// The head or declared body exceeds the accepted bound → 413.
@@ -80,18 +72,6 @@ impl ParseError {
             ParseError::TooLarge(m) | ParseError::Malformed(m) => m,
         }
     }
-}
-
-impl From<ParseError> for io::Error {
-    fn from(e: ParseError) -> Self {
-        io::Error::new(io::ErrorKind::InvalidData, e.message())
-    }
-}
-
-/// Whether an I/O error from the blocking reader is a size-bound
-/// rejection (answered 413 rather than 400).
-pub(crate) fn is_too_large(e: &io::Error) -> bool {
-    e.kind() == io::ErrorKind::InvalidData && e.to_string().contains("too large")
 }
 
 /// The parsed head fields the framing layer needs.
@@ -206,97 +186,6 @@ pub(crate) fn parse_request(buf: &[u8]) -> Result<Parsed, ParseError> {
     })
 }
 
-/// Reads one request from `stream` with no deadline (trusted peers:
-/// tests and in-process helpers). Servers should prefer
-/// [`read_request_with_deadline`].
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    read_request_with_deadline(stream, None)
-}
-
-/// Re-arms the socket read timeout with the time remaining until
-/// `deadline`, or fails with `TimedOut` once the deadline has passed.
-/// Making the deadline govern the *whole request* — rather than relying
-/// on a fixed per-read timeout — is what stops a drip-feeding peer from
-/// holding a worker indefinitely by keeping each individual read alive.
-fn arm_deadline(stream: &TcpStream, deadline: Option<Instant>) -> io::Result<()> {
-    let Some(deadline) = deadline else {
-        return Ok(());
-    };
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "request deadline exceeded",
-        ));
-    }
-    stream.set_read_timeout(Some(remaining))
-}
-
-/// Reads one request from `stream`, bounding the whole read (head and
-/// body, across however many packets the peer drips them in) by
-/// `timeout` when given.
-///
-/// Returns `Err` on malformed framing, oversized heads/bodies, deadline
-/// expiry, or I/O failure — the connection is then dropped (after a 400
-/// or 413 the peer may or may not see, depending on the front end).
-pub fn read_request_with_deadline(
-    stream: &mut TcpStream,
-    timeout: Option<Duration>,
-) -> io::Result<Request> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-    let deadline = timeout.map(|t| Instant::now() + t);
-
-    // Accumulate until the blank line that ends the head. The size bound
-    // is enforced when the buffer grows, not merely before the next read:
-    // checking only at the top of the loop would let a peer push the
-    // buffer to `MAX_HEAD + 4096` bytes (one full read chunk past the
-    // bound) before rejection. Reads are additionally capped so the
-    // buffer itself can never exceed `MAX_HEAD + 1` bytes — one byte over
-    // is exactly enough to detect the violation. (A buffer longer than
-    // `MAX_HEAD` is still legal once the terminator is inside it: the
-    // excess is body bytes, handed to the body loop below.)
-    let mut head = Vec::new();
-    let mut buf = [0u8; 4096];
-    let body_start = loop {
-        if let Some(pos) = find_head_end(&head) {
-            break pos;
-        }
-        arm_deadline(stream, deadline)?;
-        let cap = (MAX_HEAD + 1 - head.len()).min(buf.len());
-        // analyzer: allow(panic-index) -- cap is clamped to buf.len() on the line above
-        let n = stream.read(&mut buf[..cap])?;
-        if n == 0 {
-            return Err(bad("connection closed mid-head"));
-        }
-        // analyzer: allow(panic-index) -- read() returns n <= buf.len()
-        head.extend_from_slice(&buf[..n]);
-        if head.len() > MAX_HEAD && find_head_end(&head).is_none() {
-            return Err(bad("request head too large"));
-        }
-    };
-    let (head_bytes, rest) = head.split_at(body_start);
-    // analyzer: allow(panic-index) -- find_head_end found "\r\n\r\n" at body_start, so rest has >= 4 bytes
-    let mut body = rest[4..].to_vec(); // skip the \r\n\r\n itself
-
-    let fields = parse_head_fields(head_bytes)?;
-    while body.len() < fields.content_length {
-        arm_deadline(stream, deadline)?;
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Err(bad("connection closed mid-body"));
-        }
-        // analyzer: allow(panic-index) -- read() returns n <= buf.len()
-        body.extend_from_slice(&buf[..n]);
-    }
-    body.truncate(fields.content_length);
-
-    Ok(Request {
-        method: fields.method,
-        path: fields.path,
-        body: String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?,
-    })
-}
-
 /// Position of the `\r\n\r\n` head terminator, if present.
 fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n")
@@ -323,9 +212,8 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Renders one response to wire bytes. `keep_alive` picks the
-/// `Connection` header: the event-loop front end keeps connections open
-/// unless the request (or a parse error) demands otherwise; the blocking
-/// front end always closes.
+/// `Connection` header: the event loop keeps connections open unless the
+/// request (or a parse error) demands otherwise.
 pub(crate) fn render_response(
     status: u16,
     content_type: &str,
@@ -339,110 +227,6 @@ pub(crate) fn render_response(
         if keep_alive { "keep-alive" } else { "close" },
     )
     .into_bytes()
-}
-
-/// Writes a `Connection: close` JSON response.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    write_response_with_type(stream, status, "application/json", body)
-}
-
-/// Writes a `Connection: close` response with an explicit content type
-/// (`GET /metrics` serves Prometheus text, everything else JSON).
-pub fn write_response_with_type(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> io::Result<()> {
-    stream.write_all(&render_response(status, content_type, body, false))?;
-    stream.flush()
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-/// A fixed pool of worker threads draining a queue of work items — raw
-/// connections for the blocking front end ([`ThreadPool`]), parsed
-/// requests for the event-loop front end.
-#[derive(Debug)]
-pub struct WorkerPool<T: Send + 'static> {
-    sender: Option<mpsc::Sender<T>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-/// The blocking front end's pool: one accepted connection per item.
-pub type ThreadPool = WorkerPool<TcpStream>;
-
-impl<T: Send + 'static> WorkerPool<T> {
-    /// Spawns `size` workers named `{name}-{i}`, each running `handler`
-    /// on every item it receives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn new(size: usize, name: &str, handler: Arc<dyn Fn(T) + Send + Sync>) -> Self {
-        assert!(size > 0, "worker pool needs at least one worker");
-        let (sender, receiver) = mpsc::channel::<T>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..size)
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                let handler = Arc::clone(&handler);
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || loop {
-                        let next = receiver.locked().recv();
-                        match next {
-                            Ok(item) => {
-                                // A panicking handler must not shrink the
-                                // pool: contain it, drop the item, keep
-                                // serving.
-                                let result =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        handler(item)
-                                    }));
-                                if result.is_err() {
-                                    crate::log_error!(
-                                        "http",
-                                        "request handler panicked; worker continues"
-                                    );
-                                }
-                            }
-                            Err(_) => return, // sender dropped: shutdown
-                        }
-                    })
-                    // analyzer: allow(panic-expect) -- boot-time spawn; fails only on OS thread exhaustion, before the server serves
-                    .expect("spawn http worker")
-            })
-            .collect();
-        Self {
-            sender: Some(sender),
-            workers,
-        }
-    }
-
-    /// Hands an item to the pool.
-    pub fn dispatch(&self, item: T) {
-        if let Some(sender) = &self.sender {
-            // A send error means shutdown already started; drop the item.
-            let _ = sender.send(item);
-        }
-    }
-
-    /// A clone of the dispatch channel (used by the server's accept loop,
-    /// which outlives borrows of the pool).
-    pub(crate) fn sender_clone(&self) -> Option<mpsc::Sender<T>> {
-        self.sender.clone()
-    }
-
-    /// Closes the queue and joins every worker.
-    pub fn shutdown(mut self) {
-        self.sender.take(); // closes the channel
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -687,21 +471,34 @@ impl HttpClient {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    /// Reads from `stream` until `parse_request` yields one whole request.
+    fn read_one(stream: &mut TcpStream) -> Request {
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Parsed::Complete { request, .. } = parse_request(&buf).unwrap() {
+                return request;
+            }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "peer closed mid-request");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
 
     /// Spins up a listener whose single accepted connection is parsed and
-    /// echoed back through `write_response`.
+    /// echoed back as a `Connection: close` response.
     fn echo_server() -> (std::net::SocketAddr, JoinHandle<Request>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream).unwrap();
-            write_response(
-                &mut stream,
-                200,
-                &format!("{{\"echo\":{}}}", req.body.len()),
-            )
-            .unwrap();
+            let req = read_one(&mut stream);
+            let body = format!("{{\"echo\":{}}}", req.body.len());
+            stream
+                .write_all(&render_response(200, "application/json", &body, false))
+                .unwrap();
             req
         });
         (addr, handle)
@@ -799,6 +596,29 @@ mod tests {
             other => panic!("bad content-length must be rejected, got {other:?}"),
         };
         assert_eq!(err.status(), 400);
+
+        // A head whose terminator ends exactly at MAX_HEAD parses, and
+        // body bytes in the same buffer are kept even though they push
+        // the buffer past the bound.
+        let body = "0123456789";
+        let mut exact = format!(
+            "POST /x HTTP/1.1\r\nContent-Length: {}\r\nX-Pad: ",
+            body.len()
+        )
+        .into_bytes();
+        exact.resize(MAX_HEAD - 4, b'a');
+        exact.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(exact.len(), MAX_HEAD);
+        exact.extend_from_slice(body.as_bytes());
+        let Ok(Parsed::Complete {
+            request, consumed, ..
+        }) = parse_request(&exact)
+        else {
+            panic!("a head ending exactly at MAX_HEAD must parse");
+        };
+        assert_eq!(request.path, "/x");
+        assert_eq!(request.body, body);
+        assert_eq!(consumed, exact.len());
     }
 
     #[test]
@@ -813,119 +633,6 @@ mod tests {
             panic!("HTTP/1.0 keep-alive request must parse");
         };
         assert!(!close_after);
-    }
-
-    #[test]
-    fn deadline_caps_a_drip_feeding_peer() {
-        // Each individual read succeeds well inside any per-read timeout;
-        // only a whole-request deadline can stop the drip.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let started = std::time::Instant::now();
-            let result = read_request_with_deadline(&mut stream, Some(Duration::from_millis(300)));
-            (result, started.elapsed())
-        });
-        let mut peer = TcpStream::connect(addr).unwrap();
-        // Drip one header byte every 50ms, never finishing the head.
-        for b in b"GET / HTTP/1.1\r\nX-Drip: ".iter().cycle().take(40) {
-            if peer.write_all(&[*b]).is_err() {
-                break; // server dropped us — expected
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        let (result, elapsed) = server.join().unwrap();
-        let err = result.expect_err("drip-fed request must not parse");
-        assert!(
-            matches!(
-                err.kind(),
-                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-            ),
-            "expected deadline expiry, got {err:?}"
-        );
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "server held past the deadline: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn head_bound_is_enforced_at_the_boundary() {
-        // Reject: MAX_HEAD + 1 bytes with no terminator must fail with
-        // "too large" — the buffer may never be pushed a whole read chunk
-        // (4096 bytes) past the bound before rejection.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            read_request(&mut stream)
-        });
-        let mut peer = TcpStream::connect(addr).unwrap();
-        let mut oversized = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
-        oversized.resize(MAX_HEAD + 1, b'a');
-        // One write: the server must reject from its own accounting, not
-        // because the peer stopped sending.
-        peer.write_all(&oversized).unwrap();
-        let err = server.join().unwrap().expect_err("oversized head parsed");
-        assert!(err.to_string().contains("too large"), "{err}");
-        assert!(is_too_large(&err), "{err}");
-
-        // Accept: a head whose terminator ends exactly at MAX_HEAD parses,
-        // and trailing body bytes in the same packet are preserved even
-        // though they push the raw buffer past the bound.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            read_request(&mut stream)
-        });
-        let body = "0123456789";
-        let mut exact = format!(
-            "POST /x HTTP/1.1\r\nContent-Length: {}\r\nX-Pad: ",
-            body.len()
-        )
-        .into_bytes();
-        exact.resize(MAX_HEAD - 4, b'a');
-        exact.extend_from_slice(b"\r\n\r\n");
-        assert_eq!(exact.len(), MAX_HEAD);
-        exact.extend_from_slice(body.as_bytes());
-        let mut peer = TcpStream::connect(addr).unwrap();
-        peer.write_all(&exact).unwrap();
-        let req = server.join().unwrap().expect("boundary head must parse");
-        assert_eq!(req.path, "/x");
-        assert_eq!(req.body, body);
-    }
-
-    #[test]
-    fn pool_processes_and_shuts_down() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        let pool = ThreadPool::new(
-            2,
-            "ltm-http",
-            Arc::new(move |mut s: TcpStream| {
-                let _ = read_request(&mut s);
-                c.fetch_add(1, Ordering::SeqCst);
-                let _ = write_response(&mut s, 200, "{}");
-            }),
-        );
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let clients: Vec<_> = (0..4)
-            .map(|_| std::thread::spawn(move || http_call(addr, "GET", "/", None).unwrap()))
-            .collect();
-        for _ in 0..4 {
-            let (stream, _) = listener.accept().unwrap();
-            pool.dispatch(stream);
-        }
-        for c in clients {
-            let (status, _) = c.join().unwrap();
-            assert_eq!(status, 200);
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 4);
-        pool.shutdown();
     }
 
     #[test]
@@ -990,7 +697,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             for _ in 0..2 {
                 let (mut stream, _) = listener.accept().unwrap();
-                let req = read_request(&mut stream).unwrap();
+                let req = read_one(&mut stream);
                 let body = format!("{{\"path\":\"{}\"}}", req.path);
                 stream
                     .write_all(&render_response(200, "application/json", &body, true))

@@ -27,10 +27,10 @@
 //!   Gelman–Rubin `R̂` passes the gate (a regressing refit is rejected
 //!   and logged; a failing one backs off exponentially).
 //! * [`http`] + [`event_loop`] + [`server`] — a minimal HTTP/1.1 front
-//!   end on `std::net::TcpListener`: an epoll readiness loop with
-//!   keep-alive, pipelining, and a handler worker pool where supported
-//!   (Linux), falling back to a blocking fixed thread pool elsewhere
-//!   (no external deps beyond the vendored `epoll` shim).
+//!   end on `std::net::TcpListener`: one epoll readiness loop with
+//!   keep-alive, pipelining, and a handler worker pool (no external deps
+//!   beyond the vendored `epoll` shim). It serves on Linux only; on
+//!   targets without epoll, `Server::start` fails at boot.
 //! * [`snapshot`] — store + quality + accumulator persistence, so a
 //!   restarted server resumes its last epoch *and* keeps refitting
 //!   incrementally instead of cold-refitting.
@@ -83,7 +83,7 @@ pub use refit::{
     refit_once, RefitConfig, RefitCounters, RefitDaemon, RefitMode, RefitObs, RefitOutcome,
     RefitState,
 };
-pub use server::{Frontend, ServeConfig, Server};
+pub use server::{ServeConfig, Server};
 pub use shadow::{Agreement, ShadowColumn, ShadowObs, ShadowTables};
 pub use snapshot::Snapshot;
 pub use store::{

@@ -21,13 +21,12 @@
 //! | `/admin/compact` | POST | seal + fold the WAL into the snapshot, delete covered segments |
 //! | `/admin/shutdown` | POST | request a graceful stop |
 //!
-//! Queries read the current [`EpochSnapshot`](crate::epoch::EpochSnapshot)
-//! of their domain through one `Arc` clone and never wait on any refit
-//! daemon; see DESIGN.md §6.
+//! Queries read the current [`EpochSnapshot`] of their domain through
+//! one `Arc` clone and never wait on any refit daemon; see DESIGN.md §6.
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -38,19 +37,16 @@ use ltm_model::SourceId;
 use serde::{Serialize, Value};
 
 use crate::domain::{Domain, DomainError, DomainObs, DomainSet, DEFAULT_DOMAIN};
-use crate::epoch::EpochPredictor;
+use crate::epoch::{EpochPredictor, EpochSnapshot};
 use crate::event_loop::{self, EventLoop, EventLoopConfig};
-use crate::http::{
-    is_too_large, read_request_with_deadline, write_response, write_response_with_type, Request,
-    Response, ThreadPool,
-};
+use crate::http::{Request, Response};
 use crate::model::ModelKind;
 use crate::obs::registry::{escape_label, fmt_f64};
 use crate::obs::{self, Counter, Gauge, Histogram, Registry, ScopedGauge, Unit};
-use crate::refit::{RefitConfig, RefitObs, RefitState};
-use crate::shadow::{self, ShadowObs, ShadowTables};
+use crate::refit::{RefitConfig, RefitCounters, RefitObs, RefitState};
+use crate::shadow::{self, Agreement, ShadowObs, ShadowTables};
 use crate::snapshot;
-use crate::store::{LogRecord, ShardedStore};
+use crate::store::{LogRecord, ShardedStore, StoreStats};
 use crate::sync::{wait_recovered, LockExt};
 use crate::wal::{self, DomainWal, WalConfig, WalDomainMeta, WalObs};
 
@@ -78,9 +74,10 @@ use crate::wal::{self, DomainWal, WalConfig, WalDomainMeta, WalObs};
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Store shard count (per domain).
+    /// Store shard count (per domain); at least 1.
     pub shards: usize,
-    /// HTTP worker threads.
+    /// Worker threads running request handlers behind the event loop;
+    /// at least 1.
     pub threads: usize,
     /// Refit daemon configuration (shared by every domain).
     pub refit: RefitConfig,
@@ -90,11 +87,12 @@ pub struct ServeConfig {
     /// Snapshot path: loaded at boot when the file exists, saved on
     /// graceful shutdown and on `POST /admin/snapshot`.
     pub snapshot: Option<PathBuf>,
-    /// Per-connection I/O budget: a whole-request read deadline plus a
-    /// per-write timeout on the response. A peer that connects and then
-    /// stalls or drip-feeds bytes (slow-loris) is dropped once the
-    /// deadline passes instead of wedging a worker thread forever.
-    /// `Duration::ZERO` explicitly disables both.
+    /// Per-connection deadline: a request must arrive whole within it of
+    /// its first byte, a keep-alive connection may idle this long between
+    /// requests, and a peer may stall its response's drain this long. A
+    /// peer that stalls or drip-feeds bytes (slow-loris) is dropped once
+    /// the deadline passes; until then it holds one connection-table
+    /// slot, never a thread. `Duration::ZERO` disables all three.
     pub io_timeout: Duration,
     /// Write-ahead-log configuration. When set, every accepted ingest
     /// batch is journaled and fsync'd (per [`WalConfig::sync`]) before
@@ -109,41 +107,6 @@ pub struct ServeConfig {
     /// metrics off, `GET /metrics` still serves but the recorded
     /// families stay empty and `/stats` `requests` stays 0.
     pub metrics: bool,
-    /// Which HTTP front end to run (see [`Frontend`]).
-    pub frontend: Frontend,
-}
-
-/// Which HTTP front end serves connections.
-///
-/// The **event loop** (one epoll readiness thread + a worker pool, see
-/// [`crate::event_loop`]) supports HTTP/1.1 keep-alive and pipelining
-/// and holds thousands of connections on a fixed thread census; the
-/// **blocking** pool (one worker thread reads one connection at a time,
-/// `Connection: close` per request) is the portable fallback for
-/// targets without epoll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// The event loop where supported (Linux), else the blocking pool.
-    #[default]
-    Auto,
-    /// The event loop, failing boot where unsupported.
-    Epoll,
-    /// The blocking thread pool, everywhere.
-    Blocking,
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Frontend::Auto),
-            "epoll" => Ok(Frontend::Epoll),
-            "blocking" => Ok(Frontend::Blocking),
-            other => Err(format!(
-                "unknown frontend `{other}` (use auto, epoll, or blocking)"
-            )),
-        }
-    }
 }
 
 impl Default for ServeConfig {
@@ -158,7 +121,6 @@ impl Default for ServeConfig {
             io_timeout: Duration::from_secs(10),
             wal: None,
             metrics: true,
-            frontend: Frontend::Auto,
         }
     }
 }
@@ -191,11 +153,10 @@ struct Context {
     /// Requests currently being handled
     /// (`ltm_http_requests_in_flight`).
     in_flight: Arc<Gauge>,
-    /// Open HTTP connections (`ltm_open_connections`; event-loop front
-    /// end only — the blocking pool has no connection table).
+    /// Open HTTP connections (`ltm_open_connections`).
     open_connections: Arc<Gauge>,
     /// Second-and-later requests served on one keep-alive connection
-    /// (`ltm_keepalive_reuse_total`; event-loop front end only).
+    /// (`ltm_keepalive_reuse_total`).
     keepalive_reuse: Arc<Counter>,
     /// Batched-query sizes, in fact queries per batch
     /// (`ltm_batch_query_size`); its count is the number of batch
@@ -205,6 +166,9 @@ struct Context {
     metrics: bool,
     started: Instant,
     shutdown_requested: (Mutex<bool>, Condvar),
+    /// The WAL compactor's stop flag and the condvar it sleeps on, so
+    /// that shutdown wakes it instead of waiting out its cadence.
+    compactor_stop: (Mutex<bool>, Condvar),
 }
 
 /// When compaction last ran and how often it has.
@@ -284,6 +248,14 @@ impl Context {
         status.runs += 1;
         drop(status);
         Ok(deleted)
+    }
+
+    /// The age in seconds of the last completed compaction (`-1.0` when
+    /// none has run or no WAL is configured) and how many have run.
+    fn compaction_status(&self) -> (f64, u64) {
+        let status = self.compaction.locked();
+        let age = status.last_done.map_or(-1.0, |t| t.elapsed().as_secs_f64());
+        (age, status.runs)
     }
 
     /// Records one completed request: the grand-total counter, the
@@ -483,93 +455,6 @@ struct DomainsResponse {
     domains: Vec<DomainInfo>,
 }
 
-/// One domain's `/stats` section.
-#[derive(Debug, Serialize)]
-struct DomainStats {
-    kind: String,
-    shards: usize,
-    facts: usize,
-    claims: usize,
-    positive_claims: usize,
-    sources: usize,
-    pending: usize,
-    duplicate_rows: u64,
-    epoch: u64,
-    epoch_max_rhat: f64,
-    epoch_converged_fraction: f64,
-    epoch_trained_claims: usize,
-    epochs_published: u64,
-    epochs_rejected: u64,
-    refits_started: u64,
-    refits_incremental: u64,
-    refits_full: u64,
-    refits_failed: u64,
-    last_incremental_refit_secs: f64,
-    last_full_refit_secs: f64,
-    fold_watermark: u64,
-    wal_appends: u64,
-    wal_fsyncs: u64,
-    wal_bytes: u64,
-    wal_replayed_rows: u64,
-    labels_loaded: usize,
-    shadow_facts: usize,
-    /// Shadow method wire names, indexing both agreement matrices below.
-    /// Empty when the current epoch has no shadow tables.
-    shadow_methods: Vec<String>,
-    shadow_correlation: Vec<Vec<f64>>,
-    shadow_decision_flips: Vec<Vec<u64>>,
-}
-
-/// The global `/stats` body. Additive counters (`facts` through
-/// `refits_failed`, and the `wal_*` counters) are sums over every
-/// domain — the per-domain sections under `domains` sum to them exactly;
-/// the epoch-shaped fields (`epoch`, `epoch_max_rhat`, …,
-/// `fold_watermark`, `shards`) mirror the [`DEFAULT_DOMAIN`] for
-/// backward compatibility with single-domain deployments.
-/// `last_compaction_secs` is the age of the last completed WAL
-/// compaction (`-1.0` when none has run or no WAL is configured).
-#[derive(Debug, Serialize)]
-struct StatsResponse {
-    shards: usize,
-    facts: usize,
-    claims: usize,
-    positive_claims: usize,
-    sources: usize,
-    pending: usize,
-    duplicate_rows: u64,
-    epoch: u64,
-    epoch_max_rhat: f64,
-    epoch_converged_fraction: f64,
-    epoch_trained_claims: usize,
-    epochs_published: u64,
-    epochs_rejected: u64,
-    refits_started: u64,
-    refits_incremental: u64,
-    refits_full: u64,
-    refits_failed: u64,
-    last_incremental_refit_secs: f64,
-    last_full_refit_secs: f64,
-    fold_watermark: u64,
-    wal_appends: u64,
-    wal_fsyncs: u64,
-    wal_bytes: u64,
-    wal_replayed_rows: u64,
-    last_compaction_secs: f64,
-    compactions: u64,
-    requests: u64,
-    /// Currently open HTTP connections (0 on the blocking front end,
-    /// which has no connection table).
-    open_connections: i64,
-    /// Second-and-later requests served over keep-alive connections.
-    keepalive_reuses: u64,
-    /// Batched query requests served (`POST …/query/batch`).
-    batch_queries: u64,
-    uptime_secs: f64,
-    version: String,
-    git_describe: String,
-    domains: BTreeMap<String, DomainStats>,
-}
-
 #[derive(Debug, Serialize)]
 struct ErrorResponse {
     error: String,
@@ -703,7 +588,7 @@ fn route_domain(
             _ => error(405, "use POST /query"),
         },
         "/stats" => match method {
-            "GET" => json(200, &domain_stats(domain)),
+            "GET" => json(200, &domain_section(&DomainSample::new(domain))),
             _ => error(405, "use GET …/stats"),
         },
         "/eval" => match method {
@@ -758,120 +643,235 @@ fn admin_refit(_ctx: &Context, domain: &Domain, path: &str) -> (u16, String) {
     )
 }
 
-fn domain_stats(domain: &Domain) -> DomainStats {
-    let s = domain.store().stats();
-    let e = domain.predictor().load();
-    let refit = domain.refit_state().locked().counters();
-    let predictor: &EpochPredictor = domain.predictor();
-    let (wal_appends, wal_fsyncs, wal_bytes, wal_replayed_rows) =
-        domain.wal().map_or((0, 0, 0, 0), |w| w.counters());
-    let (shadow_facts, shadow_methods, shadow_correlation, shadow_decision_flips) =
-        match e.shadow.as_deref() {
-            Some(t) => (
-                t.num_facts(),
-                t.agreement
-                    .methods
-                    .iter()
-                    .map(|m| shadow::wire_name(m))
-                    .collect(),
-                t.agreement.correlation.clone(),
-                t.agreement.decision_flips.clone(),
-            ),
-            None => (0, Vec::new(), Vec::new(), Vec::new()),
-        };
-    DomainStats {
-        kind: domain.kind().as_str().to_owned(),
-        shards: s.shards,
-        facts: s.facts,
-        claims: s.claims,
-        positive_claims: s.positive_claims,
-        sources: s.sources,
-        pending: s.pending,
-        duplicate_rows: s.duplicate_rows,
-        epoch: e.epoch,
-        epoch_max_rhat: e.max_rhat,
-        epoch_converged_fraction: e.converged_fraction,
-        epoch_trained_claims: e.trained_claims,
-        epochs_published: predictor.epochs_published(),
-        epochs_rejected: predictor.epochs_rejected(),
-        refits_started: domain.daemon().map_or(0, |d| d.refits_started()),
-        refits_incremental: refit.refits_incremental,
-        refits_full: refit.refits_full,
-        refits_failed: refit.refits_failed,
-        last_incremental_refit_secs: refit.last_incremental_secs,
-        last_full_refit_secs: refit.last_full_secs,
-        fold_watermark: refit.watermark,
-        wal_appends,
-        wal_fsyncs,
-        wal_bytes,
-        wal_replayed_rows,
-        labels_loaded: domain.num_labels(),
-        shadow_facts,
-        shadow_methods,
-        shadow_correlation,
-        shadow_decision_flips,
+// ---------------------------------------------------------------------------
+// Stats: one table behind `/d/{name}/stats`, `/stats` and `/metrics`
+// ---------------------------------------------------------------------------
+
+/// One domain's stat sources, each read once per render, so every row of
+/// one response sees the same moment.
+struct DomainSample<'a> {
+    domain: &'a Domain,
+    store: StoreStats,
+    epoch: Arc<EpochSnapshot>,
+    refit: RefitCounters,
+    /// `(appends, fsyncs, bytes, replayed_rows)`; zeros without a WAL.
+    wal: (u64, u64, u64, u64),
+}
+
+impl<'a> DomainSample<'a> {
+    fn new(domain: &'a Domain) -> Self {
+        Self {
+            domain,
+            store: domain.store().stats(),
+            epoch: domain.predictor().load(),
+            refit: domain.refit_state().locked().counters(),
+            wal: domain.wal().map_or((0, 0, 0, 0), |w| w.counters()),
+        }
     }
 }
 
-fn stats(ctx: &Context) -> (u16, String) {
-    let mut sections = BTreeMap::new();
-    for domain in ctx.domains.list() {
-        sections.insert(domain.name().to_owned(), domain_stats(&domain));
+/// A stat's value. Integers render without a decimal point on both
+/// surfaces; floats keep one in JSON.
+#[derive(Debug, Clone, Copy)]
+enum Num {
+    Int(u64),
+    Float(f64),
+}
+
+use Num::{Float, Int};
+
+impl Num {
+    fn add(self, other: Num) -> Num {
+        match (self, other) {
+            (Int(a), Int(b)) => Int(a + b),
+            (a, b) => Float(a.as_f64() + b.as_f64()),
+        }
     }
-    // analyzer: allow(panic-index) -- domains.list() always contains the default domain
-    let default = &sections[DEFAULT_DOMAIN];
-    let sum = |f: fn(&DomainStats) -> u64| sections.values().map(f).sum::<u64>();
-    let sum_usize = |f: fn(&DomainStats) -> usize| sections.values().map(f).sum::<usize>();
-    let compaction = {
-        let status = ctx.compaction.locked();
-        (
-            status.last_done.map_or(-1.0, |t| t.elapsed().as_secs_f64()),
-            status.runs,
-        )
+
+    fn as_f64(self) -> f64 {
+        match self {
+            Int(v) => v as f64,
+            Float(v) => v,
+        }
+    }
+
+    fn to_json(self) -> Value {
+        match self {
+            Int(v) => v.to_value(),
+            Float(v) => Value::Float(v),
+        }
+    }
+
+    fn to_prometheus(self) -> String {
+        match self {
+            Int(v) => v.to_string(),
+            Float(v) => fmt_f64(v),
+        }
+    }
+}
+
+/// How the global `/stats` body reports a per-domain stat.
+#[derive(Debug, Clone, Copy)]
+enum Global {
+    /// The sum over every domain, so the sections add up to it.
+    Sum,
+    /// The [`DEFAULT_DOMAIN`]'s value: the epoch-shaped stats, which
+    /// single-domain deployments read at the top level.
+    Mirror,
+    /// Absent: only the per-domain sections carry it.
+    Omit,
+}
+
+use Global::{Mirror, Omit, Sum};
+
+/// One per-domain stat, named once for all three surfaces.
+struct Stat {
+    /// The `/stats` key; `None` keeps the stat off both JSON bodies.
+    key: Option<&'static str>,
+    /// The `/metrics` family and its type, one `domain=` series per
+    /// domain; `None` keeps the stat off `/metrics`.
+    family: Option<(&'static str, &'static str)>,
+    global: Global,
+    read: fn(&DomainSample<'_>) -> Num,
+}
+
+const fn stat(
+    key: &'static str,
+    family: Option<(&'static str, &'static str)>,
+    global: Global,
+    read: fn(&DomainSample<'_>) -> Num,
+) -> Stat {
+    Stat {
+        key: Some(key),
+        family,
+        global,
+        read,
+    }
+}
+
+const fn gauge(family: &'static str) -> Option<(&'static str, &'static str)> {
+    Some((family, "gauge"))
+}
+
+const fn counter(family: &'static str) -> Option<(&'static str, &'static str)> {
+    Some((family, "counter"))
+}
+
+/// Every per-domain stat. `/d/{name}/stats`, `/stats` and `/metrics` all
+/// walk this table, so the two surfaces cannot disagree and the `Sum`
+/// rows of the global body are the sums of the sections by construction.
+/// Adding a stat is adding a row.
+#[rustfmt::skip]
+const DOMAIN_STATS: &[Stat] = &[
+    stat("shards",                      None,                                        Mirror, |s| Int(s.store.shards as u64)),
+    stat("facts",                       gauge("ltm_store_facts"),                    Sum,    |s| Int(s.store.facts as u64)),
+    stat("claims",                      gauge("ltm_store_claims"),                   Sum,    |s| Int(s.store.claims as u64)),
+    stat("positive_claims",             gauge("ltm_store_positive_claims"),          Sum,    |s| Int(s.store.positive_claims as u64)),
+    stat("sources",                     gauge("ltm_store_sources"),                  Sum,    |s| Int(s.store.sources as u64)),
+    stat("pending",                     gauge("ltm_store_pending"),                  Sum,    |s| Int(s.store.pending as u64)),
+    stat("duplicate_rows",              counter("ltm_store_duplicate_rows_total"),   Sum,    |s| Int(s.store.duplicate_rows)),
+    stat("epoch",                       gauge("ltm_epoch"),                          Mirror, |s| Int(s.epoch.epoch)),
+    stat("epoch_max_rhat",              gauge("ltm_epoch_max_rhat"),                 Mirror, |s| Float(s.epoch.max_rhat)),
+    stat("epoch_converged_fraction",    gauge("ltm_epoch_converged_fraction"),       Mirror, |s| Float(s.epoch.converged_fraction)),
+    stat("epoch_trained_claims",        gauge("ltm_epoch_trained_claims"),           Mirror, |s| Int(s.epoch.trained_claims as u64)),
+    stat("epochs_published",            counter("ltm_epochs_published_total"),       Sum,    |s| Int(s.domain.predictor().epochs_published())),
+    stat("epochs_rejected",             counter("ltm_epochs_rejected_total"),        Sum,    |s| Int(s.domain.predictor().epochs_rejected())),
+    stat("refits_started",              counter("ltm_refits_started_total"),         Sum,    |s| Int(s.domain.daemon().map_or(0, |d| d.refits_started()))),
+    stat("refits_incremental",          counter("ltm_refits_incremental_total"),     Sum,    |s| Int(s.refit.refits_incremental)),
+    stat("refits_full",                 counter("ltm_refits_full_total"),            Sum,    |s| Int(s.refit.refits_full)),
+    stat("refits_failed",               counter("ltm_refits_failed_total"),          Sum,    |s| Int(s.refit.refits_failed)),
+    stat("last_incremental_refit_secs", gauge("ltm_last_incremental_refit_seconds"), Mirror, |s| Float(s.refit.last_incremental_secs)),
+    stat("last_full_refit_secs",        gauge("ltm_last_full_refit_seconds"),        Mirror, |s| Float(s.refit.last_full_secs)),
+    stat("fold_watermark",              gauge("ltm_fold_watermark"),                 Mirror, |s| Int(s.refit.watermark)),
+    stat("wal_appends",                 counter("ltm_wal_appends_total"),            Sum,    |s| Int(s.wal.0)),
+    stat("wal_fsyncs",                  counter("ltm_wal_fsyncs_total"),             Sum,    |s| Int(s.wal.1)),
+    stat("wal_bytes",                   counter("ltm_wal_bytes_total"),              Sum,    |s| Int(s.wal.2)),
+    stat("wal_replayed_rows",           counter("ltm_wal_replayed_rows_total"),      Sum,    |s| Int(s.wal.3)),
+    stat("labels_loaded",               gauge("ltm_eval_labels"),                    Omit,   |s| Int(s.domain.num_labels() as u64)),
+    stat("shadow_facts",                gauge("ltm_shadow_facts"),                   Omit,   |s| Int(s.epoch.shadow.as_deref().map_or(0, |t| t.num_facts()) as u64)),
+    Stat { key: None, family: gauge("ltm_epoch_age_seconds"), global: Omit, read: |s| Float(s.domain.predictor().epoch_age_secs()) },
+];
+
+/// The pairwise agreement of a sample's shadow methods (empty when the
+/// epoch has no shadow tables), with the methods as wire names.
+fn agreement(s: &DomainSample<'_>) -> (Vec<String>, Agreement) {
+    let agreement = s
+        .epoch
+        .shadow
+        .as_deref()
+        .map(|t| t.agreement.clone())
+        .unwrap_or_default();
+    let methods = agreement
+        .methods
+        .iter()
+        .map(|m| shadow::wire_name(m))
+        .collect();
+    (methods, agreement)
+}
+
+/// One domain's `/stats` section: its kind, every keyed row of
+/// [`DOMAIN_STATS`], and the shadow agreement matrices.
+fn domain_section(s: &DomainSample<'_>) -> Value {
+    let mut fields = vec![("kind".to_owned(), s.domain.kind().as_str().to_value())];
+    for row in DOMAIN_STATS {
+        if let Some(key) = row.key {
+            fields.push((key.to_owned(), (row.read)(s).to_json()));
+        }
+    }
+    let (methods, agreement) = agreement(s);
+    let shadow = [
+        ("shadow_methods", methods.to_value()),
+        ("shadow_correlation", agreement.correlation.to_value()),
+        ("shadow_decision_flips", agreement.decision_flips.to_value()),
+    ];
+    fields.extend(shadow.map(|(key, value)| (key.to_owned(), value)));
+    Value::Object(fields)
+}
+
+/// `GET /stats` — the [`DOMAIN_STATS`] rows folded over every domain (see
+/// [`Global`]), the server-wide counters, and every domain's section
+/// under `domains`. `last_compaction_secs` is `-1.0` when no compaction
+/// has run or no WAL is configured.
+fn stats(ctx: &Context) -> (u16, String) {
+    let domains = ctx.domains.list();
+    let samples: Vec<DomainSample<'_>> = domains.iter().map(|d| DomainSample::new(d)).collect();
+    let Some(default) = samples.iter().find(|s| s.domain.name() == DEFAULT_DOMAIN) else {
+        return error(500, "the default domain is missing");
     };
-    let response = StatsResponse {
-        shards: default.shards,
-        facts: sum_usize(|d| d.facts),
-        claims: sum_usize(|d| d.claims),
-        positive_claims: sum_usize(|d| d.positive_claims),
-        sources: sum_usize(|d| d.sources),
-        pending: sum_usize(|d| d.pending),
-        duplicate_rows: sum(|d| d.duplicate_rows),
-        epoch: default.epoch,
-        epoch_max_rhat: default.epoch_max_rhat,
-        epoch_converged_fraction: default.epoch_converged_fraction,
-        epoch_trained_claims: default.epoch_trained_claims,
-        epochs_published: sum(|d| d.epochs_published),
-        epochs_rejected: sum(|d| d.epochs_rejected),
-        refits_started: sum(|d| d.refits_started),
-        refits_incremental: sum(|d| d.refits_incremental),
-        refits_full: sum(|d| d.refits_full),
-        refits_failed: sum(|d| d.refits_failed),
-        last_incremental_refit_secs: default.last_incremental_refit_secs,
-        last_full_refit_secs: default.last_full_refit_secs,
-        fold_watermark: default.fold_watermark,
-        wal_appends: sum(|d| d.wal_appends),
-        wal_fsyncs: sum(|d| d.wal_fsyncs),
-        wal_bytes: sum(|d| d.wal_bytes),
-        wal_replayed_rows: sum(|d| d.wal_replayed_rows),
-        last_compaction_secs: compaction.0,
-        compactions: compaction.1,
-        requests: ctx.requests.get(),
-        open_connections: ctx.open_connections.get(),
-        keepalive_reuses: ctx.keepalive_reuse.get(),
-        batch_queries: ctx.batch_size.count(),
-        uptime_secs: ctx.started.elapsed().as_secs_f64(),
-        version: obs::BUILD_VERSION.to_owned(),
-        git_describe: obs::BUILD_GIT.to_owned(),
-        domains: sections,
-    };
-    json(200, &response)
+    let mut fields = Vec::new();
+    for row in DOMAIN_STATS {
+        let Some(key) = row.key else { continue };
+        let value = match row.global {
+            Sum => samples.iter().map(row.read).fold(Int(0), Num::add),
+            Mirror => (row.read)(default),
+            Omit => continue,
+        };
+        fields.push((key.to_owned(), value.to_json()));
+    }
+    let (last_compaction_secs, compactions) = ctx.compaction_status();
+    let uptime_secs = ctx.started.elapsed().as_secs_f64();
+    let sections: BTreeMap<String, Value> = samples
+        .iter()
+        .map(|s| (s.domain.name().to_owned(), domain_section(s)))
+        .collect();
+    let server = [
+        ("last_compaction_secs", last_compaction_secs.to_value()),
+        ("compactions", compactions.to_value()),
+        ("requests", ctx.requests.get().to_value()),
+        ("open_connections", ctx.open_connections.get().to_value()),
+        ("keepalive_reuses", ctx.keepalive_reuse.get().to_value()),
+        ("batch_queries", ctx.batch_size.count().to_value()),
+        ("uptime_secs", uptime_secs.to_value()),
+        ("version", obs::BUILD_VERSION.to_value()),
+        ("git_describe", obs::BUILD_GIT.to_value()),
+        ("domains", sections.to_value()),
+    ];
+    fields.extend(server.map(|(key, value)| (key.to_owned(), value)));
+    json(200, &Value::Object(fields))
 }
 
 /// `GET /metrics` — the whole registry in Prometheus text exposition
-/// format, followed by sampled families (store/epoch/refit/WAL counters
-/// read through the same [`domain_stats`] accessors `/stats` uses, so
-/// the two surfaces always agree).
+/// format, followed by the families sampled at scrape time.
 fn metrics(ctx: &Context) -> (u16, String) {
     let mut out = String::new();
     ctx.obs.render_prometheus(&mut out);
@@ -881,7 +881,8 @@ fn metrics(ctx: &Context) -> (u16, String) {
 
 /// Appends the point-in-time families `/metrics` samples at scrape time
 /// (values that live in domain stores/predictors rather than in
-/// registry-owned atomics).
+/// registry-owned atomics): the server-wide gauges, every
+/// [`DOMAIN_STATS`] row with a family, and the shadow agreement pairs.
 fn render_sampled_metrics(ctx: &Context, out: &mut String) {
     use std::fmt::Write as _;
 
@@ -900,13 +901,7 @@ fn render_sampled_metrics(ctx: &Context, out: &mut String) {
     );
     let _ = writeln!(out, "# TYPE ltm_degraded gauge");
     let _ = writeln!(out, "ltm_degraded {}", u8::from(ctx.degraded()));
-    let (last_compaction_secs, compactions) = {
-        let status = ctx.compaction.locked();
-        (
-            status.last_done.map_or(-1.0, |t| t.elapsed().as_secs_f64()),
-            status.runs,
-        )
-    };
+    let (last_compaction_secs, compactions) = ctx.compaction_status();
     let _ = writeln!(out, "# TYPE ltm_wal_compactions_total counter");
     let _ = writeln!(out, "ltm_wal_compactions_total {compactions}");
     let _ = writeln!(out, "# TYPE ltm_last_compaction_age_seconds gauge");
@@ -916,145 +911,51 @@ fn render_sampled_metrics(ctx: &Context, out: &mut String) {
         fmt_f64(last_compaction_secs)
     );
 
-    // Per-domain families, each rendered from the same DomainStats
-    // accessor /stats serializes.
-    let domains: Vec<(String, DomainStats, f64)> = ctx
-        .domains
-        .list()
-        .iter()
-        .map(|d| {
-            (
-                d.name().to_owned(),
-                domain_stats(d),
-                d.predictor().epoch_age_secs(),
-            )
-        })
-        .collect();
-    type Get = fn(&DomainStats) -> f64;
-    let families: &[(&str, &str, Get)] = &[
-        ("ltm_store_facts", "gauge", |s| s.facts as f64),
-        ("ltm_store_claims", "gauge", |s| s.claims as f64),
-        ("ltm_store_positive_claims", "gauge", |s| {
-            s.positive_claims as f64
-        }),
-        ("ltm_store_sources", "gauge", |s| s.sources as f64),
-        ("ltm_store_pending", "gauge", |s| s.pending as f64),
-        ("ltm_store_duplicate_rows_total", "counter", |s| {
-            s.duplicate_rows as f64
-        }),
-        ("ltm_epoch", "gauge", |s| s.epoch as f64),
-        ("ltm_epoch_max_rhat", "gauge", |s| s.epoch_max_rhat),
-        ("ltm_epoch_converged_fraction", "gauge", |s| {
-            s.epoch_converged_fraction
-        }),
-        ("ltm_epoch_trained_claims", "gauge", |s| {
-            s.epoch_trained_claims as f64
-        }),
-        ("ltm_epochs_published_total", "counter", |s| {
-            s.epochs_published as f64
-        }),
-        ("ltm_epochs_rejected_total", "counter", |s| {
-            s.epochs_rejected as f64
-        }),
-        ("ltm_refits_started_total", "counter", |s| {
-            s.refits_started as f64
-        }),
-        ("ltm_refits_incremental_total", "counter", |s| {
-            s.refits_incremental as f64
-        }),
-        ("ltm_refits_full_total", "counter", |s| s.refits_full as f64),
-        ("ltm_refits_failed_total", "counter", |s| {
-            s.refits_failed as f64
-        }),
-        ("ltm_last_incremental_refit_seconds", "gauge", |s| {
-            s.last_incremental_refit_secs
-        }),
-        ("ltm_last_full_refit_seconds", "gauge", |s| {
-            s.last_full_refit_secs
-        }),
-        ("ltm_fold_watermark", "gauge", |s| s.fold_watermark as f64),
-        ("ltm_wal_appends_total", "counter", |s| s.wal_appends as f64),
-        ("ltm_wal_fsyncs_total", "counter", |s| s.wal_fsyncs as f64),
-        ("ltm_wal_bytes_total", "counter", |s| s.wal_bytes as f64),
-        ("ltm_wal_replayed_rows_total", "counter", |s| {
-            s.wal_replayed_rows as f64
-        }),
-    ];
-    for (name, kind, get) in families {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (domain, stats, _) in &domains {
+    let domains = ctx.domains.list();
+    let samples: Vec<DomainSample<'_>> = domains.iter().map(|d| DomainSample::new(d)).collect();
+    for row in DOMAIN_STATS {
+        let Some((family, kind)) = row.family else {
+            continue;
+        };
+        let _ = writeln!(out, "# TYPE {family} {kind}");
+        for s in &samples {
             let _ = writeln!(
                 out,
-                "{name}{{domain=\"{}\"}} {}",
-                escape_label(domain),
-                fmt_f64(get(stats))
+                "{family}{{domain=\"{}\"}} {}",
+                escape_label(s.domain.name()),
+                (row.read)(s).to_prometheus()
             );
         }
     }
-    let _ = writeln!(out, "# TYPE ltm_epoch_age_seconds gauge");
-    for (domain, _, age) in &domains {
-        let _ = writeln!(
-            out,
-            "ltm_epoch_age_seconds{{domain=\"{}\"}} {}",
-            escape_label(domain),
-            fmt_f64(*age)
-        );
-    }
 
-    // Shadow-predictor families, sampled from the same DomainStats. The
-    // agreement matrices are symmetric with a trivial diagonal, so only
-    // the upper triangle is exposed (a= < b= in method order).
-    let _ = writeln!(out, "# TYPE ltm_shadow_facts gauge");
-    for (domain, stats, _) in &domains {
-        let _ = writeln!(
-            out,
-            "ltm_shadow_facts{{domain=\"{}\"}} {}",
-            escape_label(domain),
-            stats.shadow_facts
-        );
-    }
-    let _ = writeln!(out, "# TYPE ltm_eval_labels gauge");
-    for (domain, stats, _) in &domains {
-        let _ = writeln!(
-            out,
-            "ltm_eval_labels{{domain=\"{}\"}} {}",
-            escape_label(domain),
-            stats.labels_loaded
-        );
-    }
-    let _ = writeln!(out, "# TYPE ltm_shadow_correlation gauge");
-    for (domain, stats, _) in &domains {
-        for (i, a) in stats.shadow_methods.iter().enumerate() {
-            for (j, b) in stats.shadow_methods.iter().enumerate().skip(i + 1) {
-                let Some(c) = stats.shadow_correlation.get(i).and_then(|r| r.get(j)) else {
-                    continue;
-                };
-                let _ = writeln!(
-                    out,
-                    "ltm_shadow_correlation{{domain=\"{}\",a=\"{}\",b=\"{}\"}} {}",
-                    escape_label(domain),
-                    escape_label(a),
-                    escape_label(b),
-                    fmt_f64(*c)
-                );
-            }
-        }
-    }
-    let _ = writeln!(out, "# TYPE ltm_shadow_decision_flips gauge");
-    for (domain, stats, _) in &domains {
-        for (i, a) in stats.shadow_methods.iter().enumerate() {
-            for (j, b) in stats.shadow_methods.iter().enumerate().skip(i + 1) {
-                let Some(f) = stats.shadow_decision_flips.get(i).and_then(|r| r.get(j)) else {
-                    continue;
-                };
-                let _ = writeln!(
-                    out,
-                    "ltm_shadow_decision_flips{{domain=\"{}\",a=\"{}\",b=\"{}\"}} {}",
-                    escape_label(domain),
-                    escape_label(a),
-                    escape_label(b),
-                    f
-                );
+    // The agreement matrices are symmetric with a trivial diagonal, so
+    // only the upper triangle is exposed (a= < b= in method order).
+    type Cell = fn(&Agreement, usize, usize) -> Option<String>;
+    let matrices: [(&str, Cell); 2] = [
+        ("ltm_shadow_correlation", |a, i, j| {
+            a.correlation.get(i)?.get(j).map(|c| fmt_f64(*c))
+        }),
+        ("ltm_shadow_decision_flips", |a, i, j| {
+            a.decision_flips.get(i)?.get(j).map(u64::to_string)
+        }),
+    ];
+    let agreements: Vec<(Vec<String>, Agreement)> = samples.iter().map(agreement).collect();
+    for (family, cell) in matrices {
+        let _ = writeln!(out, "# TYPE {family} gauge");
+        for (s, (methods, agreement)) in samples.iter().zip(&agreements) {
+            for (i, a) in methods.iter().enumerate() {
+                for (j, b) in methods.iter().enumerate().skip(i + 1) {
+                    let Some(value) = cell(agreement, i, j) else {
+                        continue;
+                    };
+                    let _ = writeln!(
+                        out,
+                        "{family}{{domain=\"{}\",a=\"{}\",b=\"{}\"}} {value}",
+                        escape_label(s.domain.name()),
+                        escape_label(a),
+                        escape_label(b),
+                    );
+                }
             }
         }
     }
@@ -1813,19 +1714,16 @@ fn admin_compact(ctx: &Context) -> (u16, String) {
 // Lifecycle
 // ---------------------------------------------------------------------------
 
-/// A running server. Dropping it without calling [`Server::shutdown`]
-/// aborts the accept loop without a final snapshot.
+/// How often the background compactor looks for sealed WAL segments.
+const COMPACT_EVERY: Duration = Duration::from_millis(1_000);
+
+/// A running server. Stop it with [`Server::shutdown`]: dropping it
+/// stops nothing and skips the final snapshot.
 pub struct Server {
     addr: SocketAddr,
     ctx: Arc<Context>,
-    /// Blocking front end only.
-    pool: Option<ThreadPool>,
-    /// Blocking front end only.
-    accept: Option<JoinHandle<()>>,
-    /// Event-loop front end only.
-    event_loop: Option<EventLoop>,
+    event_loop: EventLoop,
     compactor: Option<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
 }
 
 impl Server {
@@ -1833,9 +1731,28 @@ impl Server {
     /// configured and present — which may create further domains),
     /// replays each domain's WAL tail (when `--wal-dir` is set — which
     /// may also re-create domains that only ever lived in the WAL), and
-    /// spawns the worker pool, one refit daemon per domain, and the
-    /// background WAL compactor.
+    /// spawns the event loop with its worker pool, one refit daemon per
+    /// domain, and the background WAL compactor.
+    ///
+    /// Fails with [`io::ErrorKind::Unsupported`] on targets without epoll
+    /// (the event loop is the only front end), and with
+    /// [`io::ErrorKind::InvalidInput`] when `threads` or `shards` is 0 —
+    /// both before anything is bound or spawned.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
+        if !event_loop::SUPPORTED {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the HTTP front end needs epoll, which this target lacks",
+            ));
+        }
+        for (setting, value) in [("threads", config.threads), ("shards", config.shards)] {
+            if value == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("--{setting} must be at least 1"),
+                ));
+            }
+        }
         // With a WAL but no explicit snapshot path, compaction still
         // needs somewhere to fold sealed segments: default it into the
         // WAL directory so `--wal-dir` alone gives full durability.
@@ -1931,129 +1848,62 @@ impl Server {
             metrics: config.metrics,
             started: Instant::now(),
             shutdown_requested: (Mutex::new(false), Condvar::new()),
+            compactor_stop: (Mutex::new(false), Condvar::new()),
         });
 
-        // Duration::ZERO means "no timeout" — mapped to None explicitly,
-        // because set_read_timeout(Some(ZERO)) is an error in std and
-        // silently swallowing it would disable the slow-loris protection
-        // while appearing configured.
+        // Duration::ZERO means "no deadlines" — mapped to None
+        // explicitly, because a zero deadline would instead reap every
+        // connection on the loop's first sweep.
         let io_timeout = (!config.io_timeout.is_zero()).then_some(config.io_timeout);
-        let use_event_loop = match config.frontend {
-            Frontend::Auto => event_loop::SUPPORTED,
-            Frontend::Epoll => {
-                if !event_loop::SUPPORTED {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "frontend=epoll requested but this target has no epoll \
-                         (use auto or blocking)",
-                    ));
-                }
-                true
-            }
-            Frontend::Blocking => false,
-        };
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let (pool, accept, event_loop) = if use_event_loop {
-            let handler_ctx = Arc::clone(&ctx);
-            let handler: event_loop::RequestHandler =
-                Arc::new(move |req| handle_request(&handler_ctx, req));
-            let malformed_ctx = Arc::clone(&ctx);
-            let front = EventLoop::start(
-                listener,
-                handler,
-                EventLoopConfig {
-                    workers: config.threads,
-                    io_timeout,
-                    metrics: config.metrics,
-                    open_connections: Arc::clone(&ctx.open_connections),
-                    keepalive_reuse: Arc::clone(&ctx.keepalive_reuse),
-                    observe_malformed: Arc::new(move |status| {
-                        malformed_ctx.observe_request(
-                            "?",
-                            MALFORMED_PATH,
-                            status,
-                            Instant::now(),
-                            obs::log::next_request_id(),
-                        );
-                    }),
-                },
-            )?;
-            (None, None, Some(front))
-        } else {
-            let handler_ctx = Arc::clone(&ctx);
-            let handler: Arc<dyn Fn(TcpStream) + Send + Sync> = Arc::new(move |mut stream| {
-                // Bound both directions before parsing: a peer that
-                // connects and sends nothing (or stalls, or drips bytes
-                // mid-head / mid-body) must not wedge this worker thread
-                // forever. The read side is a whole-request deadline
-                // enforced inside read_request_with_deadline.
-                if let Some(t) = io_timeout {
-                    let _ = stream.set_write_timeout(Some(t));
-                }
-                match read_request_with_deadline(&mut stream, io_timeout) {
-                    Ok(req) => {
-                        let response = handle_request(&handler_ctx, &req);
-                        let _ = write_response_with_type(
-                            &mut stream,
-                            response.status,
-                            response.content_type,
-                            &response.body,
-                        );
-                    }
-                    Err(e) => {
-                        let status = if is_too_large(&e) { 413 } else { 400 };
-                        handler_ctx.observe_request(
-                            "?",
-                            MALFORMED_PATH,
-                            status,
-                            Instant::now(),
-                            obs::log::next_request_id(),
-                        );
-                        let body = if status == 413 {
-                            "{\"error\":\"request too large\"}"
-                        } else {
-                            "{\"error\":\"malformed request\"}"
-                        };
-                        let _ = write_response(&mut stream, status, body);
-                    }
-                }
-            });
-            let pool = ThreadPool::new(config.threads, "ltm-http", handler);
-            let accept_stop = Arc::clone(&stop);
-            let accept_pool_sender = pool_sender(&pool);
-            let accept = std::thread::Builder::new()
-                .name("ltm-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if accept_stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        if let Ok(stream) = conn {
-                            accept_pool_sender(stream);
-                        }
-                    }
-                })
-                // analyzer: allow(panic-expect) -- boot-time spawn; fails only on OS thread exhaustion, before the server serves
-                .expect("spawn accept thread");
-            (Some(pool), Some(accept), None)
-        };
+        let handler_ctx = Arc::clone(&ctx);
+        let handler: event_loop::RequestHandler =
+            Arc::new(move |req| handle_request(&handler_ctx, req));
+        let malformed_ctx = Arc::clone(&ctx);
+        let event_loop = EventLoop::start(
+            listener,
+            handler,
+            EventLoopConfig {
+                workers: config.threads,
+                io_timeout,
+                metrics: config.metrics,
+                open_connections: Arc::clone(&ctx.open_connections),
+                keepalive_reuse: Arc::clone(&ctx.keepalive_reuse),
+                observe_malformed: Arc::new(move |status| {
+                    malformed_ctx.observe_request(
+                        "?",
+                        MALFORMED_PATH,
+                        status,
+                        Instant::now(),
+                        obs::log::next_request_id(),
+                    );
+                }),
+            },
+        )?;
 
         // Background compactor: folds naturally sealed segments into the
         // snapshot about once a second, keeping disk usage bounded
         // without ever stalling an ack (sealing is left to rotation and
-        // /admin/compact).
+        // /admin/compact). It sleeps on a condvar, so shutdown wakes it.
         let compactor = config.wal.is_some().then(|| {
             let ctx = Arc::clone(&ctx);
-            let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("ltm-wal-compactor".into())
                 .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(1_000));
-                        if stop.load(Ordering::SeqCst) {
-                            break;
+                    let (stop, wake) = &ctx.compactor_stop;
+                    loop {
+                        // The flag is read under the lock before every
+                        // wait, so a stop sent during a pass is not lost.
+                        let stopped = stop.locked();
+                        if *stopped {
+                            return;
                         }
+                        let (stopped, _) = wake
+                            .wait_timeout(stopped, COMPACT_EVERY)
+                            .unwrap_or_else(|poisoned| poisoned.into_inner());
+                        if *stopped {
+                            return;
+                        }
+                        drop(stopped);
                         let sealed = ctx
                             .domains
                             .list()
@@ -2074,11 +1924,8 @@ impl Server {
         Ok(Server {
             addr,
             ctx,
-            pool,
-            accept,
             event_loop,
             compactor,
-            stop,
         })
     }
 
@@ -2151,29 +1998,19 @@ impl Server {
         }
     }
 
-    /// Graceful stop: every domain's refit daemon, the accept loop, the
-    /// worker pool, the WAL compactor — then the final snapshot (if
+    /// Graceful stop: every domain's refit daemon, the event loop and
+    /// its workers, the WAL compactor — then the final snapshot (if
     /// configured) and, on WAL-enabled servers, a final compaction that
     /// folds the whole log into it and deletes the covered segments.
-    pub fn shutdown(mut self) -> io::Result<()> {
+    pub fn shutdown(self) -> io::Result<()> {
         for domain in self.ctx.domains.list() {
             domain.shutdown();
         }
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(front) = self.event_loop.take() {
-            front.shutdown();
-        }
-        if self.accept.is_some() {
-            // Wake the blocking accept() with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
-        if let Some(compactor) = self.compactor.take() {
+        self.event_loop.shutdown();
+        let (stop, wake) = &self.ctx.compactor_stop;
+        *stop.locked() = true;
+        wake.notify_all();
+        if let Some(compactor) = self.compactor {
             let _ = compactor.join();
         }
         if self.ctx.wal.is_some() {
@@ -2266,8 +2103,8 @@ fn attach_domain_obs(registry: &Registry, domain: &Domain) {
 }
 
 /// Handles one parsed request end to end — in-flight gauge, routing,
-/// request metrics — and returns the response for the calling front end
-/// to frame and write. Shared by the blocking pool and the event loop.
+/// request metrics — and returns the response for the event loop to
+/// frame and write.
 fn handle_request(ctx: &Context, req: &Request) -> Response {
     let started = Instant::now();
     let _in_flight = ctx.metrics.then(|| ScopedGauge::enter(&ctx.in_flight));
@@ -2286,16 +2123,5 @@ fn handle_request(ctx: &Context, req: &Request) -> Response {
         status,
         content_type,
         body,
-    }
-}
-
-/// A dispatch closure for the accept thread (borrow-friendly indirection:
-/// the pool itself stays owned by [`Server`]).
-fn pool_sender(pool: &ThreadPool) -> impl Fn(TcpStream) + Send + 'static {
-    let sender = pool.sender_clone();
-    move |stream| {
-        if let Some(sender) = &sender {
-            let _ = sender.send(stream);
-        }
     }
 }

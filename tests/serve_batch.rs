@@ -238,9 +238,6 @@ fn pipelined_requests_answer_in_request_order() {
 
 #[test]
 fn keepalive_reuse_shows_in_stats_and_metrics() {
-    if !ltm_serve::event_loop::SUPPORTED {
-        return; // the blocking fallback closes per request by design
-    }
     let server = Server::start(config()).expect("boot");
     let addr = server.addr();
     let mut client = HttpClient::new(addr).unwrap();
