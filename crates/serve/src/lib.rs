@@ -33,7 +33,9 @@
 //!   targets without epoll, `Server::start` fails at boot.
 //! * [`snapshot`] — store + quality + accumulator persistence, so a
 //!   restarted server resumes its last epoch *and* keeps refitting
-//!   incrementally instead of cold-refitting.
+//!   incrementally instead of cold-refitting. A snapshot stores its rows
+//!   as WAL frames and restores them through the WAL's replay step, so
+//!   rows have one durable encoding.
 //! * [`wal`] — a per-domain **write-ahead log**: every accepted ingest
 //!   batch is CRC32-framed, appended, and fsync'd (per `--wal-sync`)
 //!   before the HTTP ack; a background compactor folds sealed segments

@@ -31,7 +31,7 @@ use ltm_model::SourceId;
 
 /// Which model variant a domain runs. Parses from / renders to the wire
 /// names `boolean`, `real_valued`, and `positive_only` used by the HTTP
-/// API, the CLI, and snapshot format v2.
+/// API, the CLI, and the snapshot header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Bernoulli observation model over positive/negative claims (the

@@ -98,7 +98,7 @@ pub struct ServeConfig {
     /// batch is journaled and fsync'd (per [`WalConfig::sync`]) before
     /// the HTTP ack, boot replays the WAL tail, and a background
     /// compactor folds sealed segments into the snapshot (defaulting
-    /// `snapshot` to `<wal-dir>/snapshot.json` when unset). `None` keeps
+    /// `snapshot` to `<wal-dir>/snapshot.bin` when unset). `None` keeps
     /// the pre-durability behaviour: memory + explicit snapshots only.
     pub wal: Option<WalConfig>,
     /// Whether to record metrics (request latency histograms, WAL and
@@ -194,12 +194,16 @@ impl Context {
                 .any(|d| d.wal().is_some_and(|w| w.degraded()))
     }
 
-    /// Saves a snapshot to the configured path under the persist lock,
-    /// maintaining the degraded flag. `Err` if no path is configured.
-    fn save_configured_snapshot(&self) -> io::Result<()> {
-        let path = self.snapshot_path.as_ref().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "no snapshot path configured")
-        })?;
+    /// Saves a snapshot to `path` — the one save path of
+    /// `/admin/snapshot`, [`Server::save_snapshot`], compaction and
+    /// shutdown. A save to the configured path, which WAL compaction
+    /// deletes segments behind, holds the persist lock (so an older
+    /// capture never renames over a newer one) and sets or clears the
+    /// degraded flag; any other path is a plain save.
+    fn save_snapshot(&self, path: &std::path::Path) -> io::Result<()> {
+        if self.snapshot_path.as_deref() != Some(path) {
+            return snapshot::save(&self.domains, path);
+        }
         let _guard = self.persist.locked();
         let result = snapshot::save(&self.domains, path);
         self.snapshot_failed
@@ -208,13 +212,17 @@ impl Context {
     }
 
     /// One compaction pass: capture each domain's accepted sequence,
-    /// fold everything into the snapshot (the v2 snapshot holds the full
-    /// replay log, so one save covers every domain), then delete the
-    /// sealed segments the snapshot now covers. Returns segments
-    /// deleted. `seal_first` rotates active segments so the entire log
-    /// becomes foldable (`/admin/compact`, shutdown); the background
-    /// compactor leaves active segments alone.
+    /// fold everything into the snapshot (it holds every domain's whole
+    /// row log, so one save covers every domain), then delete the sealed
+    /// segments the snapshot now covers — only after [`snapshot::save`]
+    /// has synced the file and its directory. Returns segments deleted.
+    /// `seal_first` rotates active segments so the entire log becomes
+    /// foldable (`/admin/compact`, shutdown); the background compactor
+    /// leaves active segments alone.
     fn compact(&self, seal_first: bool) -> io::Result<usize> {
+        let path = self.snapshot_path.as_deref().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "no snapshot path configured")
+        })?;
         let walled: Vec<(Arc<Domain>, u64)> = self
             .domains
             .list()
@@ -234,7 +242,7 @@ impl Context {
                     .seal_active(covered + 1)?;
             }
         }
-        self.save_configured_snapshot()?;
+        self.save_snapshot(path)?;
         let mut deleted = 0;
         for (domain, covered) in &walled {
             deleted += domain
@@ -1665,15 +1673,7 @@ fn admin_snapshot(ctx: &Context, body: &str) -> (u16, String) {
     let Some(path) = requested.or_else(|| ctx.snapshot_path.clone()) else {
         return error(400, "no snapshot path configured or supplied");
     };
-    // The configured path feeds WAL compaction (segment deletion trusts
-    // it), so those saves are serialised and tracked; ad-hoc paths are
-    // plain saves.
-    let result = if Some(&path) == ctx.snapshot_path.as_ref() {
-        ctx.save_configured_snapshot()
-    } else {
-        snapshot::save(&ctx.domains, &path)
-    };
-    match result {
+    match ctx.save_snapshot(&path) {
         Ok(()) => json(
             200,
             &HealthResponse {
@@ -1756,10 +1756,11 @@ impl Server {
         // With a WAL but no explicit snapshot path, compaction still
         // needs somewhere to fold sealed segments: default it into the
         // WAL directory so `--wal-dir` alone gives full durability.
-        let snapshot_path = config
-            .snapshot
-            .clone()
-            .or_else(|| config.wal.as_ref().map(|w| w.dir.join("snapshot.json")));
+        let snapshot_path = match (&config.snapshot, &config.wal) {
+            (Some(path), _) => Some(path.clone()),
+            (None, Some(wal_config)) => Some(snapshot::default_path(&wal_config.dir)?),
+            (None, None) => None,
+        };
         if let Some(wal_config) = &config.wal {
             validate_wal_dir(&wal_config.dir)?;
         }
@@ -1984,9 +1985,10 @@ impl Server {
         Arc::clone(self.ctx.domains.default_domain().refit_state())
     }
 
-    /// Saves a snapshot of every domain to `path` immediately.
+    /// Saves a snapshot of every domain to `path` immediately, exactly as
+    /// `POST /admin/snapshot` does (see `Context::save_snapshot`).
     pub fn save_snapshot(&self, path: &std::path::Path) -> io::Result<()> {
-        snapshot::save(&self.ctx.domains, path)
+        self.ctx.save_snapshot(path)
     }
 
     /// Blocks until a `POST /admin/shutdown` arrives.
@@ -2017,8 +2019,8 @@ impl Server {
             // Seal + fold + delete: a clean shutdown leaves a snapshot
             // and an empty WAL tail, so the next boot replays nothing.
             self.ctx.compact(true)?;
-        } else if self.ctx.snapshot_path.is_some() {
-            self.ctx.save_configured_snapshot()?;
+        } else if let Some(path) = &self.ctx.snapshot_path {
+            self.ctx.save_snapshot(path)?;
         }
         Ok(())
     }

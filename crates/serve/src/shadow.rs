@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 use ltm_baselines::{all_baselines, source_agreement_trust};
 use ltm_core::IncrementalLtm;
 use ltm_model::{Claim, ClaimDb, EntityId, FactId, SourceId};
+use serde::{Deserialize, Serialize};
 
 use crate::obs::{Histogram, Registry, Unit};
 
@@ -46,8 +47,8 @@ pub fn wire_name(name: &str) -> String {
 }
 
 /// One fitted shadow column: a method's scores over the extraction plus
-/// its derived per-source trust.
-#[derive(Debug, Clone, PartialEq)]
+/// its derived per-source trust. Snapshots persist it as is.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShadowColumn {
     /// Display name (paper Table 7 spelling; `"LTM"` for the LTM column).
     pub name: String,

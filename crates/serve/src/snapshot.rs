@@ -1,28 +1,36 @@
 //! Snapshot save/restore: every domain's store contents + learned state
-//! as one JSON file, so a restarted server resumes serving its last
-//! published epochs without refitting from scratch.
+//! in one file, so a restarted server resumes serving its last published
+//! epochs without refitting from scratch.
 //!
-//! **Format v2** (current): a `domains` array, one record per hosted
-//! domain, each carrying the domain's name, [`ModelKind`] wire name,
-//! shard count, accepted-row replay log (with per-row values for
-//! real-valued domains), pending watermark, refit accumulator, and
-//! served epoch. **Format v1** (single-domain servers, pre-multi-model)
-//! is still loadable: [`load`] upgrades it in memory to a v2 snapshot
-//! holding one boolean [`DEFAULT_DOMAIN`] record, so old snapshots
-//! restore with bit-identical answers and re-save as v2.
+//! **Format v3**, the only one [`load`] reads, is one file of:
 //!
-//! Per domain the invariants are unchanged from v1: the store side is
-//! the accepted-row log in arrival order (replaying it through a fresh
-//! [`ShardedStore`] with the same shard count reproduces every id
-//! assignment); the predictor side is the raw parameter tables of the
-//! served epoch plus the pending watermark; the refit side is the
-//! streaming accumulator — expected-count cells for boolean domains
-//! (4 per source), Gaussian sufficient statistics for real-valued ones
-//! (6 per source) — plus its fold watermark, so a restarted server
-//! resumes *incremental* refits over the unfolded tail.
+//! * the 8-byte magic `LTMSNAP3`;
+//! * a header: `[len: u64 LE][crc32(json): u32 LE]`, then compact JSON
+//!   holding one [`DomainRec`] per hosted domain — name, [`ModelKind`]
+//!   wire name, shard count, source names, row count, pending tail,
+//!   refit accumulator, and served epoch with its shadow columns;
+//! * every domain's accepted rows, domain by domain in header order and
+//!   each from sequence 1, as WAL frames ([`crate::wal::encode_record`])
+//!   of about 1 MiB each.
+//!
+//! So rows have one durable encoding, the WAL's CRC32 frame, and
+//! [`restore`] brings them back through the replay step that boot-time
+//! WAL replay uses ([`crate::wal::DomainWal::open`]): a sequence gap or
+//! a duplicate row is an error in both. The JSON formats v1 and v2 are
+//! refused with an error that says so; there is no converter.
+//!
+//! Per domain, the store side is the accepted-row log in arrival order
+//! (replaying it through a fresh [`ShardedStore`] with the same shard
+//! count reproduces every id assignment); the predictor side is the raw
+//! parameter tables of the served epoch plus the pending watermark; the
+//! refit side is the streaming accumulator — expected-count cells for
+//! boolean domains (4 per source), Gaussian sufficient statistics for
+//! real-valued ones (6 per source) — plus its fold watermark, so a
+//! restarted server resumes *incremental* refits over the unfolded tail.
 
-use std::io;
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ltm_core::{
@@ -31,26 +39,23 @@ use ltm_core::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::domain::{Domain, DomainSet, DEFAULT_DOMAIN};
+use crate::domain::{Domain, DomainSet};
 use crate::epoch::EpochSnapshot;
 use crate::model::{ModelKind, ServePredictor};
 use crate::refit::RefitConfig;
 use crate::shadow::{ShadowColumn, ShadowTables};
-use crate::store::{LogRecord, ShardedStore};
+use crate::store::ShardedStore;
+use crate::sync::LockExt;
+use crate::wal::{self, invalid, WalRecord};
 
-/// One accepted row: the triple plus the optional value carried by
-/// real-valued domains (absent in v1 snapshots and boolean domains).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TripleRec {
-    /// Entity name.
-    pub entity: String,
-    /// Attribute name.
-    pub attr: String,
-    /// Source name.
-    pub source: String,
-    /// Claim value (real-valued domains only).
-    pub value: Option<f64>,
-}
+/// The file's first bytes; the last one names the format version, the
+/// only place the version is written.
+const MAGIC: &[u8; 8] = b"LTMSNAP3";
+/// Why a JSON snapshot (formats v1 and v2) does not load.
+const JSON_REFUSED: &str =
+    "JSON snapshot (format v1 or v2): this version reads only format v3, with no converter";
+/// Snapshot frames close once their payload reaches this many bytes.
+const FRAME_BYTES: usize = 1 << 20;
 
 /// The real-valued predictor parameters of a served epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,18 +80,6 @@ pub struct RealPredictorRec {
     pub side1_b: f64,
 }
 
-/// One persisted shadow method column: the method's display name plus
-/// its fitted scores and per-source trust.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShadowColumnRec {
-    /// Method display name (`"LTM"` or a paper Table 7 spelling).
-    pub name: String,
-    /// Per-fact scores, parallel to [`ShadowRec::fact_ids`].
-    pub scores: Vec<f64>,
-    /// Per-source agreement trust in global source-id order.
-    pub trust: Vec<f64>,
-}
-
 /// The published shadow tables of a served epoch. Only the fitted
 /// columns are persisted; the ensemble, agreement matrices, and
 /// percentile indexes are recomputed deterministically on restore
@@ -97,7 +90,7 @@ pub struct ShadowRec {
     /// Global fact ids of the fit extraction, ascending.
     pub fact_ids: Vec<u64>,
     /// Score columns, LTM first then Table 7 order.
-    pub methods: Vec<ShadowColumnRec>,
+    pub methods: Vec<ShadowColumn>,
 }
 
 /// The served epoch's parameters. Boolean and positive-only domains fill
@@ -127,12 +120,10 @@ pub struct EpochRec {
     pub trained_claims: usize,
     /// Sources covered by the learned quality.
     pub trained_sources: usize,
-    /// Real-valued predictor parameters (real-valued domains only;
-    /// absent in v1 snapshots).
+    /// Real-valued predictor parameters (real-valued domains only).
     pub real: Option<RealPredictorRec>,
-    /// Shadow baseline tables of the epoch (absent in pre-shadow
-    /// snapshots, real-valued domains, and epochs fit with shadows
-    /// disabled).
+    /// Shadow baseline tables of the epoch (absent in real-valued
+    /// domains and in epochs fit with shadows disabled).
     pub shadow: Option<ShadowRec>,
 }
 
@@ -153,7 +144,7 @@ pub struct AccumulatorRec {
     pub watermark: u64,
 }
 
-/// One domain's complete persisted state.
+/// One domain's persisted state, rows aside: its header record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DomainRec {
     /// Domain name (`default` for the legacy un-prefixed routes).
@@ -164,42 +155,29 @@ pub struct DomainRec {
     /// Shard count the log was built with — restore replays into the
     /// same partitioning so global fact ids survive.
     pub shards: usize,
-    /// Global source names in id order (informational / validation).
+    /// Global source names in id order (validation).
     pub sources: Vec<String>,
-    /// Accepted rows in arrival order.
-    pub triples: Vec<TripleRec>,
-    /// Tail of `triples` not yet folded by a refit at save time. Restore
+    /// Accepted rows the snapshot holds: sequences `1..=rows`, stored as
+    /// frames in [`Snapshot::frames`].
+    pub rows: u64,
+    /// Tail of the rows not yet folded by a refit at save time. Restore
     /// leaves exactly this many rows pending so they still arm the refit
-    /// trigger after a restart — the saved epoch never saw them. `None`
-    /// in pre-watermark v1 snapshots, which treated the whole log as
-    /// folded.
-    pub pending: Option<usize>,
+    /// trigger after a restart — the saved epoch never saw them.
+    pub pending: usize,
     /// The refit accumulator, if any fold had committed by save time.
     pub accumulator: Option<AccumulatorRec>,
     /// The served epoch, if any was published before the save.
     pub epoch: Option<EpochRec>,
 }
 
-/// The on-disk snapshot: format version plus one record per domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A snapshot in memory (the module docs describe its file).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Format version (2 current; v1 files are upgraded by [`load`]).
-    pub version: u32,
     /// Per-domain state, in the server's domain order.
     pub domains: Vec<DomainRec>,
-}
-
-/// The v1 (single-domain) on-disk layout, kept for upgrade-on-load.
-#[derive(Debug, Clone, Deserialize)]
-struct SnapshotV1 {
-    #[allow(dead_code)] // parsed for shape validation only
-    version: u32,
-    shards: usize,
-    sources: Vec<String>,
-    triples: Vec<TripleRec>,
-    pending: Option<usize>,
-    accumulator: Option<AccumulatorRec>,
-    epoch: Option<EpochRec>,
+    /// Every domain's accepted rows as WAL frames, domain by domain in
+    /// `domains` order, each domain's from sequence 1.
+    pub frames: Vec<u8>,
 }
 
 impl Snapshot {
@@ -209,28 +187,12 @@ impl Snapshot {
     }
 }
 
-/// Captures one domain's state: store first (one consistent read under
-/// the ingest-order lock), the refit accumulator second, the served
-/// epoch last — the same order a refit commits in reverse. A refit that
-/// lands in between can only make the saved accumulator/epoch *newer*
-/// than the saved log, which errs toward re-folding already-folded rows
-/// at the next boot (the refit path self-heals that with an Empty pass);
-/// the reverse order could pair an old accumulator with `pending: 0` and
-/// silently exclude the unfolded tail.
 /// Persists the raw shadow columns (the derived artifacts are rebuilt on
 /// restore).
 fn capture_shadow(tables: &ShadowTables) -> ShadowRec {
     ShadowRec {
         fact_ids: tables.fact_ids.clone(),
-        methods: tables
-            .methods
-            .iter()
-            .map(|c| ShadowColumnRec {
-                name: c.name.clone(),
-                scores: c.scores.clone(),
-                trust: c.trust.clone(),
-            })
-            .collect(),
+        methods: tables.methods.clone(),
     }
 }
 
@@ -238,24 +200,32 @@ fn capture_shadow(tables: &ShadowTables) -> ShadowRec {
 /// from persisted columns. Deterministic, so a save/restore round-trip
 /// serves bit-identical shadow answers.
 fn restore_shadow(rec: &ShadowRec) -> ShadowTables {
-    ShadowTables::assemble(
-        rec.fact_ids.clone(),
-        rec.methods
-            .iter()
-            .map(|c| ShadowColumn {
-                name: c.name.clone(),
-                scores: c.scores.clone(),
-                trust: c.trust.clone(),
-            })
-            .collect(),
-    )
+    ShadowTables::assemble(rec.fact_ids.clone(), rec.methods.clone())
 }
 
-fn capture_domain(domain: &Domain) -> DomainRec {
+/// Captures one domain's state, appending its rows' frames to `frames`:
+/// store first (one consistent read under the ingest-order lock), the
+/// refit accumulator second, the served epoch last — the same order a
+/// refit commits in reverse. A refit that lands in between can only make the saved
+/// accumulator/epoch *newer* than the saved log, which errs toward
+/// re-folding already-folded rows at the next boot (the refit path
+/// self-heals that with an Empty pass); the reverse order could pair an
+/// old accumulator with `pending: 0` and silently exclude the unfolded
+/// tail.
+fn capture_domain(domain: &Domain, frames: &mut Vec<u8>) -> DomainRec {
     let store = domain.store();
-    let (sources, log, pending) = store.persistence_snapshot();
+    let (sources, rows, pending) = store.persistence_snapshot(|log| {
+        let mut rest = log;
+        let mut first_seq = 1;
+        while !rest.is_empty() {
+            let n = wal::put_frame(frames, domain.name(), first_seq, rest, FRAME_BYTES);
+            rest = rest.get(n..).unwrap_or_default();
+            first_seq += n as u64;
+        }
+        log.len() as u64
+    });
     let accumulator = {
-        let st = domain.refit_state().lock().expect("refit state");
+        let st = domain.refit_state().locked();
         match domain.kind() {
             ModelKind::Boolean | ModelKind::PositiveOnly => {
                 st.streaming().map(|s| AccumulatorRec {
@@ -326,63 +296,71 @@ fn capture_domain(domain: &Domain) -> DomainRec {
         kind: domain.kind().as_str().to_owned(),
         shards: store.num_shards(),
         sources,
-        triples: log
-            .into_iter()
-            .map(
-                |LogRecord {
-                     entity,
-                     attr,
-                     source,
-                     value,
-                 }| TripleRec {
-                    entity,
-                    attr,
-                    source,
-                    value,
-                },
-            )
-            .collect(),
-        pending: Some(pending),
+        rows,
+        pending,
         accumulator,
         epoch,
     }
 }
 
-/// Captures every domain's state as a v2 snapshot.
+/// Captures every domain's state.
 pub fn capture(domains: &DomainSet) -> Snapshot {
-    Snapshot {
-        version: 2,
-        domains: domains.list().iter().map(|d| capture_domain(d)).collect(),
-    }
+    let mut frames = Vec::new();
+    let domains = domains
+        .list()
+        .iter()
+        .map(|d| capture_domain(d, &mut frames))
+        .collect();
+    Snapshot { domains, frames }
 }
 
-/// Saves a snapshot of every domain as pretty JSON.
-///
-/// The write is atomic with respect to crashes: the JSON goes to a
-/// temporary file in the same directory which is then renamed over the
-/// target, so a kill mid-write can never leave a truncated snapshot (or
-/// clobber the previous good one) that would fail the next boot.
+/// Saves a snapshot of every domain to `path` ([`capture`], then
+/// [`write()`]).
 pub fn save(domains: &DomainSet, path: &Path) -> io::Result<()> {
-    let snapshot = capture(domains);
-    let json = serde_json::to_string_pretty(&snapshot)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    write(&capture(domains), path)
+}
+
+/// Writes `snapshot` to `path` in format v3, atomically and durably: a
+/// temporary file in the same directory is written, synced, and renamed
+/// over the target, then the directory is synced. A kill mid-write never
+/// leaves a truncated snapshot or clobbers the previous good one; once
+/// this returns `Ok` the file survives power loss (WAL compaction
+/// deletes segments only then), and any failed step fails the write.
+pub fn write(snapshot: &Snapshot, path: &Path) -> io::Result<()> {
+    let header = serde_json::to_string(&snapshot.domains).map_err(|e| invalid(e.to_string()))?;
     // Unique per call, not just per process: two workers saving the same
     // path concurrently (racing admin snapshots, or one racing the final
     // shutdown save) must not interleave writes into a shared temp file
-    // and rename torn JSON into place.
+    // and rename a torn snapshot into place.
     static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut tmp_name = path.as_os_str().to_owned();
     tmp_name.push(format!(".tmp.{}.{seq}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp_name);
-    // Both failure paths remove the temp file: each save mints a unique
-    // name, so leaking it would accumulate litter across retries.
-    std::fs::write(&tmp, json).inspect_err(|_| {
+    let tmp = PathBuf::from(tmp_name);
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(MAGIC)?;
+            file.write_all(&(header.len() as u64).to_le_bytes())?;
+            file.write_all(&wal::crc32(header.as_bytes()).to_le_bytes())?;
+            file.write_all(header.as_bytes())?;
+            file.write_all(&snapshot.frames)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    // Each write mints a unique temp name, so leaking it on failure
+    // would accumulate litter across retries.
+    if let Err(e) = written {
         let _ = std::fs::remove_file(&tmp);
-    })?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
+        return Err(e);
+    }
+    File::open(parent_dir(path))?.sync_all()
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    path.parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(Path::new("."))
 }
 
 /// Deletes stale `<snapshot>.tmp.*` temp files next to `path` — the
@@ -391,10 +369,7 @@ pub fn save(domains: &DomainSet, path: &Path) -> io::Result<()> {
 /// Returns how many were removed. Called at boot, before the first save
 /// can race anything. A missing parent directory counts as zero.
 pub fn clean_stale_temps(path: &Path) -> io::Result<usize> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
+    let parent = parent_dir(path);
     let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
         return Ok(0);
     };
@@ -403,7 +378,7 @@ pub fn clean_stale_temps(path: &Path) -> io::Result<usize> {
         return Ok(0);
     }
     let mut removed = 0;
-    for entry in std::fs::read_dir(&parent)? {
+    for entry in std::fs::read_dir(parent)? {
         let entry = entry?;
         let name = entry.file_name();
         if name.to_str().is_some_and(|n| n.starts_with(&prefix)) {
@@ -414,49 +389,74 @@ pub fn clean_stale_temps(path: &Path) -> io::Result<usize> {
     Ok(removed)
 }
 
-/// Loads a snapshot file, upgrading v1 single-domain files to a v2
-/// snapshot holding one boolean [`DEFAULT_DOMAIN`] record.
-pub fn load(path: &Path) -> io::Result<Snapshot> {
-    let text = std::fs::read_to_string(path)?;
-    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-    let probe: serde::Value = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
-    let version = match probe.get_field("version") {
-        Some(serde::Value::Int(v)) => *v,
-        Some(serde::Value::UInt(v)) => *v as i64,
-        _ => return Err(invalid("snapshot has no numeric `version` field".into())),
-    };
-    match version {
-        1 => {
-            let v1: SnapshotV1 = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
-            Ok(Snapshot {
-                version: 2,
-                domains: vec![DomainRec {
-                    name: DEFAULT_DOMAIN.to_owned(),
-                    kind: ModelKind::Boolean.as_str().to_owned(),
-                    shards: v1.shards,
-                    sources: v1.sources,
-                    triples: v1.triples,
-                    pending: v1.pending,
-                    accumulator: v1.accumulator,
-                    epoch: v1.epoch,
-                }],
-            })
-        }
-        2 => serde_json::from_str(&text).map_err(|e| invalid(e.to_string())),
-        other => Err(invalid(format!("unsupported snapshot version {other}"))),
+/// The snapshot path of a WAL directory booted with no explicit one:
+/// `<wal-dir>/snapshot.bin`. A `snapshot.json` there, the default name
+/// of the JSON formats, is refused like any JSON snapshot: booting past
+/// it would serve an empty store and number new rows from 1 into
+/// segments that continue that snapshot's sequence.
+pub(crate) fn default_path(wal_dir: &Path) -> io::Result<PathBuf> {
+    let json = wal_dir.join("snapshot.json");
+    if json.exists() {
+        return Err(invalid(format!(
+            "snapshot {}: {JSON_REFUSED}",
+            json.display()
+        )));
     }
+    Ok(wal_dir.join("snapshot.bin"))
+}
+
+/// Loads a format-v3 snapshot file, refusing JSON ones (formats v1, v2).
+/// The row frames are checked when [`restore`] decodes them.
+pub fn load(path: &Path) -> io::Result<Snapshot> {
+    decode(std::fs::read(path)?)
+}
+
+/// Parses a snapshot file's bytes (see [`load`]), keeping their buffer
+/// as [`Snapshot::frames`].
+fn decode(mut bytes: Vec<u8>) -> io::Result<Snapshot> {
+    let Some(rest) = bytes.strip_prefix(MAGIC) else {
+        return Err(invalid(if bytes.trim_ascii_start().starts_with(b"{") {
+            JSON_REFUSED.into()
+        } else {
+            "not a format-v3 snapshot (bad magic)".into()
+        }));
+    };
+    let truncated = || invalid("snapshot ends inside its header".into());
+    let (len, rest) = rest.split_first_chunk::<8>().ok_or_else(truncated)?;
+    let (crc, rest) = rest.split_first_chunk::<4>().ok_or_else(truncated)?;
+    let header = usize::try_from(u64::from_le_bytes(*len))
+        .ok()
+        .and_then(|len| rest.get(..len))
+        .ok_or_else(truncated)?;
+    if wal::crc32(header) != u32::from_le_bytes(*crc) {
+        return Err(invalid("snapshot header fails its checksum".into()));
+    }
+    let text = std::str::from_utf8(header).map_err(|e| invalid(e.to_string()))?;
+    let domains =
+        serde_json::from_str(text).map_err(|e| invalid(format!("snapshot header: {e}")))?;
+    let header_end = bytes.len() - rest.len() + header.len();
+    bytes.drain(..header_end);
+    Ok(Snapshot {
+        domains,
+        frames: bytes,
+    })
 }
 
 /// Restores a snapshot into `domains`: each recorded domain is resolved
 /// by name — an existing domain must match the record's kind and shard
 /// count (its store must be empty, i.e. freshly booted); a missing one
 /// is created with the record's kind/shards and `config` and inserted.
-/// Per domain the record's log is replayed, the served epoch installed,
-/// and the refit accumulator resumed so the first post-restart refit is
-/// incremental. Restored-but-created domains do **not** have a daemon
-/// yet; the server spawns daemons for every domain after restore.
+/// Per domain the record's rows are replayed, the served epoch
+/// installed, and the refit accumulator resumed so the first
+/// post-restart refit is incremental. Restored-but-created domains do
+/// **not** have a daemon yet; the server spawns daemons for every domain
+/// after restore.
 pub fn restore(snapshot: &Snapshot, domains: &DomainSet, config: &RefitConfig) -> io::Result<()> {
-    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let (records, _, issue) = wal::decode_segment(&snapshot.frames);
+    if let Some(issue) = issue {
+        return Err(invalid(format!("snapshot rows are damaged: {issue:?}")));
+    }
+    let mut records = records.into_iter().peekable();
     for rec in &snapshot.domains {
         let kind: ModelKind = rec
             .kind
@@ -482,9 +482,17 @@ pub fn restore(snapshot: &Snapshot, domains: &DomainSet, config: &RefitConfig) -
                 created
             }
         };
-        restore_domain(rec, kind, &domain, config)?;
+        // The domain's frames are the next ones in the file.
+        let rows = std::iter::from_fn(|| records.next_if(|r| r.domain == rec.name));
+        restore_domain(rec, kind, &domain, config, rows)?;
     }
-    Ok(())
+    match records.next() {
+        None => Ok(()),
+        Some(r) => Err(invalid(format!(
+            "snapshot rows of domain `{}` are out of header order",
+            r.domain
+        ))),
+    }
 }
 
 fn restore_domain(
@@ -492,8 +500,8 @@ fn restore_domain(
     kind: ModelKind,
     domain: &Domain,
     config: &RefitConfig,
+    rows: impl Iterator<Item = WalRecord>,
 ) -> io::Result<()> {
-    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
     let store: &ShardedStore = domain.store();
     if store.num_shards() != rec.shards {
         return Err(invalid(format!(
@@ -518,25 +526,22 @@ fn restore_domain(
             )));
         }
     }
-    for t in &rec.triples {
-        store.replay(&LogRecord {
-            entity: t.entity.clone(),
-            attr: t.attr.clone(),
-            source: t.source.clone(),
-            value: t.value,
-        });
+    wal::replay_records(rows, &rec.name, store)
+        .map_err(|e| invalid(format!("snapshot domain `{}`: {e}", rec.name)))?;
+    if store.accepted_seq() != rec.rows {
+        return Err(invalid(format!(
+            "snapshot domain `{}` records {} rows but its frames hold {}",
+            rec.name,
+            rec.rows,
+            store.accepted_seq()
+        )));
     }
     // Only the rows a refit had folded by save time are marked consumed;
     // the saved `pending` tail was never seen by the saved epoch and must
     // still arm the refit trigger after restart — otherwise served
     // predictions silently exclude data the store visibly holds until
-    // some future ingest re-arms the trigger. Pre-watermark snapshots
-    // (`pending` absent) fall back to the old treat-all-as-folded reading.
-    // A capture that raced a refit can leave the accumulator watermark
-    // ahead of the log's folded count; trust the larger of the two (the
-    // accumulator provably folded through its watermark).
-    let pending = rec.pending.unwrap_or(0);
-    let mut folded = rec.triples.len().saturating_sub(pending) as u64;
+    // some future ingest re-arms the trigger.
+    let mut folded = rec.rows.saturating_sub(rec.pending as u64);
     if let Some(acc) = &rec.accumulator {
         // A capture that raced a refit can legally pair an accumulator
         // slightly *newer* than the saved log: a fold that committed
@@ -546,18 +551,20 @@ fn restore_domain(
         // unable to boot from its own legitimately-saved snapshot:
         //
         // * the watermark is clamped to the log, so the rows the log is
-        //   missing are simply not marked folded, and
+        //   missing are simply not marked folded (and the larger of the
+        //   two folded counts is trusted: the accumulator provably
+        //   folded through its watermark), and
         // * cells for sources beyond the log's id space are dropped
-        //   (their triples are not in the log either — the source was
-        //   interned after the log copy was taken), keeping every
-        //   remaining cell attributed to the id the replayed store
-        //   assigns. The shed contribution is drift-sized and the next
-        //   full refit reconciles it exactly.
-        let watermark = acc.watermark.min(rec.triples.len() as u64);
+        //   (their rows are not in the log either — the source was
+        //   interned after the log was read), keeping every remaining
+        //   cell attributed to the id the replayed store assigns. The
+        //   shed contribution is drift-sized and the next full refit
+        //   reconciles it exactly.
+        let watermark = acc.watermark.min(rec.rows);
         let mut cells = acc.cells.clone();
         cells.truncate(rec.sources.len() * cells_per_source);
         folded = folded.max(watermark);
-        let mut st = domain.refit_state().lock().expect("refit state");
+        let mut st = domain.refit_state().locked();
         match kind {
             ModelKind::Boolean | ModelKind::PositiveOnly => st.restore(
                 StreamingLtm::from_accumulated(
@@ -645,6 +652,7 @@ fn restore_domain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::DEFAULT_DOMAIN;
     use ltm_model::SourceId;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -673,6 +681,10 @@ mod tests {
         store.ingest("e0", "a0", "s0");
         store.ingest("e0", "a1", "s1");
         store.ingest("e1", "a0", "s0");
+        // Over 1 MiB of rows, so the log spans several frames.
+        for i in 0..25_000 {
+            store.ingest(&format!("row{i}"), &"a".repeat(40), "s1");
+        }
         let mut snap = EpochSnapshot::boot(&RefitConfig::default().ltm.priors);
         snap.predictor = ServePredictor::Boolean(IncrementalLtm::from_parts(
             vec![0.9, 0.4],
@@ -690,7 +702,7 @@ mod tests {
         let loaded = load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, capture(&set));
-        assert_eq!(loaded.version, 2);
+        assert!(wal::decode_segment(&loaded.frames).0.len() > 1);
 
         let set2 = boolean_set(3);
         restore(&loaded, &set2, &RefitConfig::default()).unwrap();
@@ -752,8 +764,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let rec = loaded.domain("scores").expect("real domain saved");
         assert_eq!(rec.kind, "real_valued");
-        assert_eq!(rec.triples[0].value, Some(0.92));
-        assert_eq!(rec.pending, Some(1));
+        let (records, _, _) = wal::decode_segment(&loaded.frames);
+        assert_eq!(records[0].rows[0].value, Some(0.92));
+        assert_eq!(rec.pending, 1);
         assert_eq!(rec.accumulator.as_ref().unwrap().cells, cells_before);
 
         // Restore into a fresh set that does NOT pre-configure `scores`:
@@ -779,115 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshot_upgrades_to_default_boolean_domain() {
-        // A pre-multi-model snapshot (version 1, no `domains` array, no
-        // per-triple values) must load as a v2 snapshot with one boolean
-        // `default` domain and restore with identical ids and pending.
-        let path = temp_path("v1-upgrade.json");
-        std::fs::write(
-            &path,
-            "{\"version\":1,\"shards\":2,\"sources\":[\"s0\",\"s1\"],\
-             \"triples\":[{\"entity\":\"e0\",\"attr\":\"a0\",\"source\":\"s0\"},\
-                          {\"entity\":\"e0\",\"attr\":\"a1\",\"source\":\"s1\"},\
-                          {\"entity\":\"e1\",\"attr\":\"a0\",\"source\":\"s0\"}],\
-             \"pending\":1,\
-             \"accumulator\":{\"cells\":[1.0,0.0,0.5,0.5,0.0,1.0,0.25,0.75],\
-                              \"batches_seen\":1,\"watermark\":2},\
-             \"epoch\":{\"epoch\":3,\"phi1\":[0.9,0.4],\"phi0\":[0.05,0.3],\
-                        \"beta_pos\":2.0,\"beta_neg\":3.0,\
-                        \"default_phi1\":0.5,\"default_phi0\":0.1,\
-                        \"max_rhat\":1.05,\"converged_fraction\":1.0,\
-                        \"trained_claims\":4,\"trained_sources\":2}}",
-        )
-        .unwrap();
-        let snapshot = load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(snapshot.version, 2);
-        assert_eq!(snapshot.domains.len(), 1);
-        let rec = snapshot.domain(DEFAULT_DOMAIN).unwrap();
-        assert_eq!(rec.kind, "boolean");
-        assert_eq!(rec.pending, Some(1));
-        assert!(rec.triples.iter().all(|t| t.value.is_none()));
-        assert!(rec.epoch.as_ref().unwrap().real.is_none());
-
-        let set = boolean_set(2);
-        restore(&snapshot, &set, &RefitConfig::default()).unwrap();
-        let domain = set.default_domain();
-        assert_eq!(domain.store().stats().facts, 3);
-        assert_eq!(domain.store().pending(), 1);
-        assert_eq!(domain.predictor().load().epoch, 3);
-        let st = domain.refit_state().lock().unwrap();
-        assert_eq!(st.watermark(), 2);
-        assert!(st.streaming().is_some());
-        drop(st);
-
-        // Equation-3 on the restored parameters is reproducible from the
-        // raw φ tables — the bit-identity assertion of the migration.
-        let expected = IncrementalLtm::from_parts(
-            vec![0.9, 0.4],
-            vec![0.05, 0.3],
-            BetaPair::new(2.0, 3.0),
-            0.5,
-            0.1,
-        );
-        let claims = [(SourceId::new(0), true), (SourceId::new(1), false)];
-        assert_eq!(
-            domain.predictor().load().predictor.predict_fact(&claims),
-            expected.predict_fact(&claims)
-        );
-
-        // Re-saving writes format v2; reloading restores identically.
-        let path2 = temp_path("v1-resaved.json");
-        save(&set, &path2).unwrap();
-        let resaved = load(&path2).unwrap();
-        std::fs::remove_file(&path2).ok();
-        assert_eq!(resaved.version, 2);
-        let set3 = boolean_set(2);
-        restore(&resaved, &set3, &RefitConfig::default()).unwrap();
-        assert_eq!(
-            set3.default_domain()
-                .predictor()
-                .load()
-                .predictor
-                .predict_fact(&claims),
-            expected.predict_fact(&claims),
-            "v1 → v2 → v2 restores stay bit-identical"
-        );
-    }
-
-    #[test]
-    fn pre_watermark_v1_snapshots_load_as_fully_folded() {
-        // The oldest v1 layout predates the `pending` and `accumulator`
-        // fields entirely; the upgrade path must treat the whole log as
-        // folded (no accumulator to resume → the next refit is cold).
-        let path = temp_path("v1-no-pending.json");
-        std::fs::write(
-            &path,
-            "{\"version\":1,\"shards\":1,\"sources\":[\"s\"],\
-             \"triples\":[{\"entity\":\"e\",\"attr\":\"a\",\"source\":\"s\"}],\
-             \"epoch\":null}",
-        )
-        .unwrap();
-        let snapshot = load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let rec = snapshot.domain(DEFAULT_DOMAIN).unwrap();
-        assert_eq!(rec.pending, None);
-        assert_eq!(rec.accumulator, None);
-        let set = boolean_set(1);
-        restore(&snapshot, &set, &RefitConfig::default()).unwrap();
-        let domain = set.default_domain();
-        assert_eq!(
-            domain.store().pending(),
-            0,
-            "old snapshots treat the log as folded"
-        );
-        assert!(
-            domain.refit_state().lock().unwrap().streaming().is_none(),
-            "no accumulator to resume: the next refit is a cold one"
-        );
-    }
-
-    #[test]
     fn restore_trusts_the_newer_of_pending_and_accumulator_watermark() {
         // A capture racing a refit can pair an older log view (pending
         // still unconsumed) with a newer accumulator; restore must trust
@@ -898,7 +802,7 @@ mod tests {
         store.ingest("e0", "a0", "s0");
         store.ingest("e1", "a0", "s0");
         let mut snapshot = capture(&set);
-        assert_eq!(snapshot.domains[0].pending, Some(2));
+        assert_eq!(snapshot.domains[0].pending, 2);
         snapshot.domains[0].accumulator = Some(AccumulatorRec {
             cells: vec![0.0; 4],
             batches_seen: 1,
@@ -931,7 +835,7 @@ mod tests {
         assert_eq!(store.pending(), 2);
 
         let snapshot = capture(&set);
-        assert_eq!(snapshot.domains[0].pending, Some(2));
+        assert_eq!(snapshot.domains[0].pending, 2);
         let set2 = boolean_set(2);
         restore(&snapshot, &set2, &RefitConfig::default()).unwrap();
         assert_eq!(
@@ -1099,5 +1003,40 @@ mod tests {
         let err = load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn damaged_or_foreign_files_fail_to_load_or_restore() {
+        let set = boolean_set(2);
+        let cfg = RefitConfig::default();
+        for (e, a, s) in [("e0", "a0", "s0"), ("e0", "a1", "s1"), ("e1", "a0", "s1")] {
+            set.default_domain().store().ingest(e, a, s);
+        }
+        let scores = Domain::new("scores", ModelKind::RealValued, 2, &cfg);
+        scores.store().ingest_valued("r0", "a0", "s0", 0.92);
+        scores.store().ingest_valued("r0", "a1", "s1", 0.15);
+        set.insert(scores).unwrap();
+        let path = temp_path("damage.bin");
+        save(&set, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let restored = |bytes: &[u8]| restore(&decode(bytes.to_vec())?, &boolean_set(2), &cfg);
+        restored(&bytes).expect("the undamaged file restores");
+        let refused = |bytes: &[u8], what: &str| {
+            let err = restored(bytes).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        };
+        for cut in 0..bytes.len() {
+            refused(&bytes[..cut], &format!("prefix of {cut} bytes"));
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x01;
+            refused(&flipped, &format!("flip at byte {at}"));
+        }
+        refused(b"{\"version\":2,\"domains\":[]}", "a v2 JSON file");
+        let mut magic = bytes.clone();
+        magic[7] = b'4';
+        refused(&magic, "a wrong version magic");
     }
 }

@@ -523,29 +523,25 @@ impl ShardedStore {
         journal: Option<JournalFn<'_>>,
     ) -> std::io::Result<BatchOutcome> {
         let mut log = self.log.locked();
+        let start = log.len();
         let mut out = BatchOutcome {
-            first_seq: log.len() as u64 + 1,
+            first_seq: start as u64 + 1,
             ..BatchOutcome::default()
         };
-        let mut accepted = Vec::with_capacity(rows.len());
         for row in rows {
             match self.ingest_locked(&mut log, row.clone()) {
                 IngestOutcome::Duplicate(_) => out.duplicates += 1,
                 IngestOutcome::NewFact(_) => {
                     out.new_facts += 1;
                     out.accepted += 1;
-                    accepted.push(row.clone());
                 }
-                IngestOutcome::NewRow(_) => {
-                    out.accepted += 1;
-                    accepted.push(row.clone());
-                }
+                IngestOutcome::NewRow(_) => out.accepted += 1,
             }
         }
-        if out.accepted > 0 {
-            if let Some(journal) = journal {
-                journal(out.first_seq, &accepted)?;
-            }
+        // The batch's accepted rows are exactly what it appended to the
+        // log, so the journal encodes them from there, uncopied.
+        if let Some(journal) = journal.filter(|_| out.accepted > 0) {
+            journal(out.first_seq, log.get(start..).unwrap_or_default())?;
         }
         Ok(out)
     }
@@ -930,16 +926,20 @@ impl ShardedStore {
         self.log.locked().clone()
     }
 
-    /// One consistent persistence view: `(source names in id order,
-    /// accepted-row log, pending count)`, all read under the
-    /// ingest-order lock so no concurrent ingest can interleave between
-    /// them. Reading these piecemeal would let a racing ingest mint a
-    /// source that appears in the log copy but not the sources copy —
-    /// and that snapshot fails its own restore validation at the next
-    /// boot.
-    pub fn persistence_snapshot(&self) -> (Vec<String>, Vec<LogRecord>, usize) {
+    /// One consistent persistence view: runs `read` over the accepted-row
+    /// log and returns `(source names in id order, its result, pending
+    /// count)`, all under one hold of the ingest-order lock so no
+    /// concurrent ingest can interleave between them. Reading these
+    /// piecemeal would let a racing ingest mint a source that appears in
+    /// the log but not the sources copy — and that snapshot fails its own
+    /// restore validation at the next boot. Ingest waits while `read`
+    /// runs (snapshot capture encodes the log's frames here, uncopied).
+    pub fn persistence_snapshot<R>(
+        &self,
+        read: impl FnOnce(&[LogRecord]) -> R,
+    ) -> (Vec<String>, R, usize) {
         let log = self.log.locked();
-        (self.source_names(), log.clone(), self.pending())
+        (self.source_names(), read(&log), self.pending())
     }
 
     /// Number of shards.
@@ -1102,7 +1102,7 @@ mod tests {
         let mut done = false;
         while !done {
             done = writers.iter().all(|w| w.is_finished());
-            let (sources, log, pending) = store.persistence_snapshot();
+            let (sources, log, pending) = store.persistence_snapshot(<[LogRecord]>::to_vec);
             let known: HashSet<&str> = sources.iter().map(String::as_str).collect();
             for rec in &log {
                 let s = &rec.source;

@@ -10,15 +10,15 @@
 //! configured [`WalSyncPolicy`] before the HTTP response is written.
 //!
 //! Segments rotate at [`WalConfig::segment_bytes`]; the server's
-//! background compactor folds sealed segments into the v2 snapshot and
-//! deletes them, so `snapshot + WAL tail` is always a complete recovery
-//! image and disk usage stays bounded. On boot, [`DomainWal::open`]
-//! replays the tail through the normal ingest path: a **torn final
-//! record** (a crash mid-append) is truncated with a warning — the
-//! server never refuses to boot over its own interrupted write — while
-//! a corrupt record *followed by further valid data* is a hard
-//! [`std::io::ErrorKind::InvalidData`] error, because bytes behind it
-//! were acked and silently skipping them would break the ack contract.
+//! background compactor folds sealed segments into the snapshot and,
+//! once that is synced, deletes them, so `snapshot + WAL tail` is always
+//! a complete recovery image and disk usage stays bounded. On boot,
+//! [`DomainWal::open`] replays the tail through the normal ingest path:
+//! a **torn final record** (a crash mid-append) is truncated with a
+//! warning — the server never refuses to boot over its own interrupted
+//! write — while a corrupt record *followed by further valid data* is a
+//! hard [`std::io::ErrorKind::InvalidData`] error, because bytes behind
+//! it were acked and silently skipping them would break the ack contract.
 //!
 //! The record framing is `[len: u32 LE][crc32(payload): u32 LE][payload]`
 //! with payload `domain, first_seq, rows[]` (see [`encode_record`]); the
@@ -250,27 +250,56 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 /// `entity`, `attr`, `source` strings and a value tag (`0` = none,
 /// `1` followed by the f64 LE bits).
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64 + record.rows.len() * 48);
-    put_str(&mut payload, &record.domain);
-    payload.extend_from_slice(&record.first_seq.to_le_bytes());
-    payload.extend_from_slice(&(record.rows.len() as u32).to_le_bytes());
-    for row in &record.rows {
-        put_str(&mut payload, &row.entity);
-        put_str(&mut payload, &row.attr);
-        put_str(&mut payload, &row.source);
+    let (rows, seq) = (&record.rows, record.first_seq);
+    let mut frame = Vec::with_capacity(72 + rows.len() * 48);
+    put_frame(&mut frame, &record.domain, seq, rows, usize::MAX);
+    frame
+}
+
+/// Appends one frame ([`encode_record`]'s format) to `out`, encoding a
+/// prefix of the borrowed `rows` (numbered from `first_seq`) in place:
+/// rows go in until the payload reaches `max_payload` bytes, and always
+/// at least one. Returns how many rows the frame holds. WAL appends
+/// pass `usize::MAX`, one frame per batch; snapshots cut the log into
+/// frames of about 1 MiB.
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    domain: &str,
+    first_seq: u64,
+    rows: &[LogRecord],
+    max_payload: usize,
+) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]); // length and CRC, set below
+    put_str(out, domain);
+    out.extend_from_slice(&first_seq.to_le_bytes());
+    let count_at = out.len();
+    out.extend_from_slice(&[0; 4]); // row count, set below
+    let mut count = 0u32;
+    for row in rows {
+        if count > 0 && out.len() - start - 8 >= max_payload {
+            break;
+        }
+        put_str(out, &row.entity);
+        put_str(out, &row.attr);
+        put_str(out, &row.source);
         match row.value {
-            None => payload.push(0),
+            None => out.push(0),
             Some(v) => {
-                payload.push(1);
-                payload.extend_from_slice(&v.to_bits().to_le_bytes());
+                out.push(1);
+                out.extend_from_slice(&v.to_bits().to_le_bytes());
             }
         }
+        count += 1;
     }
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    out.splice(count_at..count_at + 4, count.to_le_bytes());
+    let payload = out.get(start + 8..).unwrap_or_default();
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out.splice(
+        start..start + 8,
+        [len.to_le_bytes(), crc.to_le_bytes()].concat(),
+    );
+    count as usize
 }
 
 /// Why a segment's bytes stopped decoding cleanly.
@@ -679,11 +708,8 @@ impl DomainWal {
     /// accepted sequence. The WAL reports [`DomainWal::degraded`] until
     /// the backlog drains.
     pub fn append_batch(&self, first_seq: u64, rows: &[LogRecord]) -> io::Result<()> {
-        let frame = encode_record(&WalRecord {
-            domain: self.domain.clone(),
-            first_seq,
-            rows: rows.to_vec(),
-        });
+        let mut frame = Vec::with_capacity(72 + rows.len() * 48);
+        put_frame(&mut frame, &self.domain, first_seq, rows, usize::MAX);
         let mut inner = self.inner.locked();
         inner.backlog.push_back((first_seq, frame));
         let result = self.drain_backlog_locked(&mut inner);
@@ -934,7 +960,7 @@ impl DomainWal {
     }
 }
 
-fn invalid(msg: String) -> io::Error {
+pub(crate) fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
@@ -982,40 +1008,53 @@ fn replay_segments(dir: &Path, domain: &str, store: &ShardedStore) -> io::Result
                 )));
             }
         }
-        for rec in records {
-            report.records += 1;
-            if rec.domain != domain {
-                return Err(invalid(format!(
-                    "{}: record for domain `{}` found in the `{domain}` WAL",
-                    path.display(),
-                    rec.domain
-                )));
-            }
-            for (i, row) in rec.rows.iter().enumerate() {
-                let seq = rec.first_seq + i as u64;
-                let current = store.accepted_seq();
-                if seq <= current {
-                    continue; // already restored from the snapshot
-                }
-                if seq != current + 1 {
-                    return Err(invalid(format!(
-                        "{}: WAL jumps to sequence {seq} but the store is at {current} — \
-                         a segment covering the gap is missing",
-                        path.display()
-                    )));
-                }
-                if matches!(store.replay(row), IngestOutcome::Duplicate(_)) {
-                    return Err(invalid(format!(
-                        "{}: WAL row at sequence {seq} replayed as a duplicate — the WAL \
-                         disagrees with the restored snapshot",
-                        path.display()
-                    )));
-                }
-                report.replayed_rows += 1;
-            }
-        }
+        report.records += records.len() as u64;
+        report.replayed_rows += replay_records(records, domain, store)
+            .map_err(|e| invalid(format!("{}: WAL {e}", path.display())))?;
     }
     Ok(report)
+}
+
+/// Replays decoded records into `store` and returns the rows replayed —
+/// the one replay step of boot-time WAL replay and
+/// [`crate::snapshot::restore`]. Rows the store already holds are
+/// skipped; a sequence gap, a duplicate row, or another domain's record
+/// is an error, which the caller prefixes with the records' origin.
+pub(crate) fn replay_records(
+    records: impl IntoIterator<Item = WalRecord>,
+    domain: &str,
+    store: &ShardedStore,
+) -> Result<u64, String> {
+    let mut replayed = 0;
+    for rec in records {
+        if rec.domain != domain {
+            return Err(format!(
+                "record for domain `{}` found in the `{domain}` log",
+                rec.domain
+            ));
+        }
+        for (i, row) in rec.rows.iter().enumerate() {
+            let seq = rec.first_seq + i as u64;
+            let current = store.accepted_seq();
+            if seq <= current {
+                continue; // already restored from the snapshot
+            }
+            if seq != current + 1 {
+                return Err(format!(
+                    "jumps to sequence {seq} but the store is at {current}: the rows in \
+                     between are missing"
+                ));
+            }
+            if matches!(store.replay(row), IngestOutcome::Duplicate(_)) {
+                return Err(format!(
+                    "row at sequence {seq} replays as a duplicate: the log disagrees with \
+                     the store"
+                ));
+            }
+            replayed += 1;
+        }
+    }
+    Ok(replayed)
 }
 
 /// Domain names with a WAL directory under `root` (for boot-time

@@ -14,7 +14,8 @@
 //!
 //! Companion tests cover a torn final record (appended garbage must be
 //! truncated at boot, never refuse to start), mid-log corruption (must
-//! refuse to start, with a nonzero exit), and the injectable fault hook
+//! refuse to start, with a nonzero exit), a JSON snapshot left under the
+//! old default name (must refuse to start), and the injectable fault hook
 //! (`/healthz` flips to 503 `degraded` while WAL writes fail).
 
 use std::io::{Read, Write};
@@ -337,7 +338,7 @@ fn torn_final_record_is_truncated_and_the_server_boots() {
     let (status, body) = http_call(&server.addr, "POST", "/admin/compact", Some("")).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"deleted_segments\""), "{body}");
-    assert!(wal_dir.join("snapshot.json").exists());
+    assert!(wal_dir.join("snapshot.bin").exists());
 
     // And the compacted state still recovers after a clean stop.
     server.shutdown();
@@ -431,6 +432,35 @@ fn unwritable_wal_dir_is_a_clean_startup_error() {
         stderr.contains("failed to start") && stderr.contains("--wal-dir"),
         "want a clean validation error, got: {stderr}"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_json_snapshot_under_the_old_default_name_refuses_to_boot() {
+    use ltm_serve::server::{ServeConfig, Server};
+    use ltm_serve::wal::WalConfig;
+
+    // `<wal-dir>/snapshot.json` is where JSON snapshots (formats v1 and
+    // v2) were saved by default. Booting past it would serve an empty
+    // store over segments that continue its sequence.
+    let root = temp_dir("json-snapshot");
+    let wal_dir = root.join("wal");
+    std::fs::create_dir_all(&wal_dir).unwrap();
+    std::fs::write(
+        wal_dir.join("snapshot.json"),
+        "{\"version\":2,\"domains\":[]}",
+    )
+    .unwrap();
+    let err = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        wal: Some(WalConfig::new(wal_dir.clone())),
+        ..ServeConfig::default()
+    })
+    .err()
+    .expect("boot must refuse a JSON snapshot");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("format v1 or v2"), "{err}");
+    assert!(!wal_dir.join("snapshot.bin").exists());
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -111,7 +111,10 @@ fn boot_ingest_refit_query_parity_and_snapshot_restart() {
     // Rebuild the predictor from a snapshot of the served epoch.
     server.save_snapshot(&snap_path).unwrap();
     let saved = snapshot::load(&snap_path).unwrap();
-    assert_eq!(saved.version, 2, "snapshots save in format v2");
+    assert!(
+        std::fs::read(&snap_path).unwrap().starts_with(b"LTMSNAP3"),
+        "snapshots save in format v3"
+    );
     let default = saved
         .domain(ltm_serve::DEFAULT_DOMAIN)
         .expect("default domain saved");
@@ -569,91 +572,26 @@ fn one_server_hosts_boolean_and_real_valued_domains_concurrently() {
 }
 
 #[test]
-fn v1_snapshot_restores_into_v2_server_with_bit_identical_answers() {
-    // Boot a server, capture its learned epoch, and rewrite the snapshot
-    // into the v1 single-domain layout by hand. A fresh server booting
-    // from that v1 file must serve bit-identical probabilities, and its
-    // own re-save must produce a v2 file that restores identically again.
-    let dir = std::env::temp_dir();
-    let snap_path = dir.join(format!("ltm-e2e-v1mig-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&snap_path);
+fn a_failed_library_save_to_the_configured_path_degrades_healthz() {
+    // `Server::save_snapshot` to the configured path goes through the
+    // same save as `POST /admin/snapshot`: serialised with compaction,
+    // and a failure turns `/healthz` to 503 `degraded`. The configured
+    // path sits in a directory that does not exist, so every save fails.
+    let missing = std::env::temp_dir()
+        .join(format!("ltm-e2e-missing-dir-{}", std::process::id()))
+        .join("snapshot.bin");
     let mut cfg = config();
-    cfg.snapshot = Some(snap_path.clone());
-
-    let server = Server::start(cfg.clone()).expect("boot");
+    cfg.snapshot = Some(missing.clone());
+    let server = Server::start(cfg).expect("boot");
     let addr = server.addr();
-    http_call(addr, "POST", "/claims", Some(&workload_body(10))).unwrap();
-    server.trigger_refit();
-    wait_for_epoch(addr, 1.0);
-    let query = "{\"claims\":[[\"good\",true],[\"spammy\",true]]}";
-    let (_, body) = http_call(addr, "POST", "/query", Some(query)).unwrap();
-    let served = field_f64(&body, "probability");
-    server.shutdown().unwrap();
-
-    // Downgrade the saved v2 snapshot to the v1 on-disk layout: hoist the
-    // default domain's fields to the top level and drop v2-only fields.
-    let saved = snapshot::load(&snap_path).unwrap();
-    let rec = saved.domain(ltm_serve::DEFAULT_DOMAIN).unwrap();
-    let triples: Vec<String> = rec
-        .triples
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"entity\":{},\"attr\":{},\"source\":{}}}",
-                serde_json::to_string(&t.entity).unwrap(),
-                serde_json::to_string(&t.attr).unwrap(),
-                serde_json::to_string(&t.source).unwrap()
-            )
-        })
-        .collect();
-    let acc = rec.accumulator.as_ref().expect("accumulator saved");
-    let epoch = rec.epoch.as_ref().expect("epoch saved");
-    let v1 = format!(
-        "{{\"version\":1,\"shards\":{},\"sources\":{},\"triples\":[{}],\"pending\":{},\
-         \"accumulator\":{{\"cells\":{},\"batches_seen\":{},\"watermark\":{}}},\
-         \"epoch\":{{\"epoch\":{},\"phi1\":{},\"phi0\":{},\"beta_pos\":{},\"beta_neg\":{},\
-         \"default_phi1\":{},\"default_phi0\":{},\"max_rhat\":{},\"converged_fraction\":{},\
-         \"trained_claims\":{},\"trained_sources\":{}}}}}",
-        rec.shards,
-        serde_json::to_string(&rec.sources).unwrap(),
-        triples.join(","),
-        rec.pending.unwrap(),
-        serde_json::to_string(&acc.cells).unwrap(),
-        acc.batches_seen,
-        acc.watermark,
-        epoch.epoch,
-        serde_json::to_string(&epoch.phi1).unwrap(),
-        serde_json::to_string(&epoch.phi0).unwrap(),
-        epoch.beta_pos,
-        epoch.beta_neg,
-        epoch.default_phi1,
-        epoch.default_phi0,
-        epoch.max_rhat,
-        epoch.converged_fraction,
-        epoch.trained_claims,
-        epoch.trained_sources,
-    );
-    std::fs::write(&snap_path, v1).unwrap();
-
-    // Restart from the v1 file: bit-identical answers, same epoch.
-    let restarted = Server::start(cfg.clone()).expect("restart from v1");
-    let addr2 = restarted.addr();
-    let (_, body2) = http_call(addr2, "POST", "/query", Some(query)).unwrap();
-    assert_eq!(
-        field_f64(&body2, "probability"),
-        served,
-        "v1 snapshot must restore bit-identical boolean answers"
-    );
-    // Graceful shutdown re-saves as v2…
-    restarted.shutdown().unwrap();
-    let resaved = snapshot::load(&snap_path).unwrap();
-    assert_eq!(resaved.version, 2, "re-save upgrades the on-disk format");
-    // …and the v2 file restores identically once more.
-    let again = Server::start(cfg).expect("restart from v2");
-    let (_, body3) = http_call(again.addr(), "POST", "/query", Some(query)).unwrap();
-    assert_eq!(field_f64(&body3, "probability"), served);
-    again.shutdown().unwrap();
-    let _ = std::fs::remove_file(&snap_path);
+    let (status, body) = http_call(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.save_snapshot(&missing).unwrap_err();
+    let (status, body) = http_call(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("degraded"), "{body}");
+    // The final save on shutdown fails the same way.
+    server.shutdown().unwrap_err();
 }
 
 #[test]

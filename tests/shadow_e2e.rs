@@ -2,7 +2,7 @@
 //! let a promoted refit publish the shadow tables, and verify that
 //! `?methods=all` answers match offline fits on the same extraction;
 //! then prove the tables survive a snapshot round trip bit-identically
-//! and that pre-shadow v2 snapshots still load.
+//! and that a snapshot without shadow tables still loads.
 
 use std::time::{Duration, Instant};
 
@@ -210,24 +210,24 @@ fn snapshot_round_trips_shadow_tables_bit_identically() {
     );
     restored.shutdown().expect("clean shutdown");
 
-    // A v2 snapshot *without* the shadow section (pre-shadow files)
-    // still loads: plain queries serve the restored epoch, shadow
-    // queries answer 409.
+    // A snapshot *without* the shadow section (an epoch fit with shadows
+    // disabled) still loads: plain queries serve the restored epoch,
+    // shadow queries answer 409.
     let mut stripped = snapshot::load(&snap_path).unwrap();
     for d in &mut stripped.domains {
         if let Some(e) = &mut d.epoch {
             e.shadow = None;
         }
     }
-    std::fs::write(&snap_path, serde_json::to_string(&stripped).unwrap()).unwrap();
-    let legacy = Server::start(cfg).expect("boot from pre-shadow snapshot");
+    snapshot::write(&stripped, &snap_path).unwrap();
+    let legacy = Server::start(cfg).expect("boot from a snapshot without shadow tables");
     let addr = legacy.addr();
     let (status, body) = http_call(addr, "POST", "/query", Some(query)).unwrap();
     assert_eq!(status, 200, "{body}");
     let (status, body) = http_call(addr, "POST", "/query?methods=all", Some(query)).unwrap();
     assert_eq!(
         status, 409,
-        "pre-shadow snapshot must serve 409 for shadow methods: {body}"
+        "a snapshot without shadow tables must serve 409 for shadow methods: {body}"
     );
     legacy.shutdown().expect("clean shutdown");
 
