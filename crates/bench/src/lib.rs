@@ -13,8 +13,6 @@
 //!   serialisable result and a rendered text table;
 //! * [`goldens`] — the fixed-seed golden-accuracy computation shared by
 //!   the workspace regression test and `perf --emit-goldens`.
-//!
-//! Criterion micro-benchmarks live under `benches/`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -200,7 +200,7 @@ impl Domain {
             }
             None => None,
         };
-        let outcome = self.store.ingest_batch(rows, journal)?;
+        let outcome = self.store.ingest_batch(rows.to_vec(), journal)?;
         if let Some(obs) = self.obs.get() {
             obs.batch_rows.record(rows.len() as u64);
             obs.rows_accepted.add(outcome.accepted);

@@ -38,10 +38,10 @@ pub struct EpochSnapshot {
     pub trained_claims: usize,
     /// Sources covered by the learned quality.
     pub trained_sources: usize,
-    /// Shadow baseline tables fit on the same extraction as this epoch,
-    /// if shadow fitting is enabled for the domain (`None` for the boot
-    /// predictor, real-valued domains, and restored epochs whose
-    /// snapshot predates shadow persistence).
+    /// Shadow baseline tables fit on the same extraction as this epoch
+    /// (`None` for the boot predictor, for real-valued domains, and when
+    /// [`crate::refit::RefitConfig::shadows`] is off). A snapshot restores
+    /// them with the epoch.
     pub shadow: Option<Arc<ShadowTables>>,
 }
 

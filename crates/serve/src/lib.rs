@@ -51,7 +51,7 @@
 //! * [`obs`] — the **observability spine**: a metrics registry of atomic
 //!   counters, gauges, and lock-free log-linear latency histograms
 //!   rendered by `GET /metrics` (Prometheus text format, `domain=`
-//!   labels), RAII spans timing WAL appends and refit phases, and a
+//!   labels) that time requests, WAL appends and refit phases, and a
 //!   leveled structured logger (`--log-level`, `--log-format`) behind
 //!   the `log_error!`…`log_debug!` macros.
 //!
@@ -80,7 +80,7 @@ pub use domain::{Domain, DomainError, DomainObs, DomainSet, DEFAULT_DOMAIN};
 pub use epoch::{EpochPredictor, EpochSnapshot};
 pub use http::{http_call, HttpClient};
 pub use model::{ModelKind, ServePredictor};
-pub use obs::{Counter, Gauge, Histogram, Registry, ScopedGauge, SpanTimer, Unit};
+pub use obs::{Counter, Gauge, Histogram, Registry, ScopedGauge, Unit};
 pub use refit::{
     refit_once, RefitConfig, RefitCounters, RefitDaemon, RefitMode, RefitObs, RefitOutcome,
     RefitState,

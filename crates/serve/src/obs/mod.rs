@@ -1,4 +1,5 @@
-//! Observability: metrics registry, latency histograms, spans, and logging.
+//! Observability: metrics registry, latency histograms, scoped gauges, and
+//! logging.
 //!
 //! This module is the instrumentation substrate for the serving stack,
 //! built std-only like everything else in the crate:
@@ -9,8 +10,7 @@
 //!   surfaces can never disagree.
 //! - [`histogram::Histogram`] — lock-free log-linear (HDR-style) latency
 //!   histogram with ≤ 6.25% relative error and p50/p90/p99/p999 readouts.
-//! - [`span::SpanTimer`] / [`span::ScopedGauge`] — RAII timing and
-//!   in-flight tracking.
+//! - [`span::ScopedGauge`] — RAII in-flight tracking.
 //! - [`log`] — leveled structured logger behind the crate-level
 //!   `log_error!`/`log_warn!`/`log_info!`/`log_debug!` macros, replacing
 //!   the scattered `eprintln!` calls the crate grew up with.
@@ -23,7 +23,7 @@ pub mod span;
 pub use histogram::Histogram;
 pub use log::{Format as LogFormat, Level as LogLevel};
 pub use registry::{Counter, Gauge, Registry, Unit};
-pub use span::{ScopedGauge, SpanTimer};
+pub use span::ScopedGauge;
 
 /// Crate version baked in at compile time.
 pub const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -1,44 +1,10 @@
-//! RAII timing spans and scoped gauges.
-//!
-//! A [`SpanTimer`] measures the wall-clock time between its construction and
-//! drop and records it (as microseconds) into a histogram — so a phase is
-//! timed correctly even on early return or panic-unwind. A [`ScopedGauge`]
-//! increments a gauge for its lifetime, giving an in-flight count.
+//! Scoped gauges: a [`ScopedGauge`] increments a gauge for its lifetime,
+//! giving an in-flight count that stays right on early return or
+//! panic-unwind.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use super::histogram::Histogram;
 use super::registry::Gauge;
-
-/// Records elapsed time into a histogram when dropped.
-#[derive(Debug)]
-pub struct SpanTimer {
-    hist: Arc<Histogram>,
-    started: Instant,
-}
-
-impl SpanTimer {
-    /// Start timing; the span ends (and records) when the value is dropped.
-    pub fn start(hist: &Arc<Histogram>) -> SpanTimer {
-        SpanTimer {
-            hist: Arc::clone(hist),
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        self.hist.record_duration(self.started.elapsed());
-    }
-}
-
-/// Time a closure and record its duration into `hist`.
-pub fn time<R>(hist: &Arc<Histogram>, f: impl FnOnce() -> R) -> R {
-    let _span = SpanTimer::start(hist);
-    f()
-}
 
 /// Holds a gauge incremented for the lifetime of the value.
 #[derive(Debug)]
@@ -65,30 +31,6 @@ impl Drop for ScopedGauge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn span_records_on_drop() {
-        let h = Arc::new(Histogram::new());
-        {
-            let _s = SpanTimer::start(&h);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(h.count(), 1);
-        assert!(
-            h.sum() >= 1_000,
-            "expected >= 1ms recorded, got {}µs",
-            h.sum()
-        );
-    }
-
-    #[test]
-    fn time_returns_the_closure_value() {
-        let h = Arc::new(Histogram::new());
-        let v = time(&h, || 42);
-        assert_eq!(v, 42);
-        assert_eq!(h.count(), 1);
-    }
 
     #[test]
     fn scoped_gauge_tracks_lifetime() {

@@ -24,7 +24,9 @@
 //! **R̂-gated promotion**: the candidate is published only if its worst
 //! per-fact Gelman–Rubin `R̂` (non-finite values read as `+∞`, never
 //! silently dropped) is below the configured gate *or* no worse than the
-//! currently served epoch's (an improvement is never rejected). A
+//! currently served epoch's (an improvement is never rejected). The
+//! prior-only epoch 0 was fit on nothing, so any first fit with a finite
+//! `R̂` replaces it. A
 //! rejected refit is counted and logged, but its fold *is* committed to
 //! the accumulator and the store's pending counter is consumed — the data
 //! was folded; only the promotion was vetoed — so a deterministic
@@ -62,7 +64,7 @@ pub struct RefitConfig {
     /// Parallel Gibbs chains per shard fit (≥ 2 for meaningful `R̂`).
     pub chains: usize,
     /// Promotion gate: reject a refit whose worst `R̂` exceeds this and
-    /// regresses the served epoch.
+    /// regresses the served epoch (epoch 0 yields to any finite `R̂`).
     pub rhat_gate: f64,
     /// Accepted triples that arm an automatic refit.
     pub min_pending: usize,
@@ -73,9 +75,6 @@ pub struct RefitConfig {
     /// `0` disables automatic full refits (manual `mode=full` triggers
     /// still work).
     pub full_refit_every: u64,
-    /// Cap on the exponential backoff applied after consecutive refit
-    /// failures (the delay doubles from `interval` up to this).
-    pub max_backoff: Duration,
     /// Fit the shadow baseline predictors on every published boolean or
     /// positive-only refit (see [`crate::shadow`]). Disabling skips the
     /// baseline fits entirely; `?methods=` queries beyond `ltm` then
@@ -100,7 +99,6 @@ impl Default for RefitConfig {
             min_pending: 1,
             interval: Duration::from_millis(200),
             full_refit_every: 8,
-            max_backoff: Duration::from_secs(60),
             shadows: true,
         }
     }
@@ -554,7 +552,11 @@ pub fn refit_once(
     // restore, never toward silently excluding a folded tail.
     let rhat_started = Instant::now();
     let current = predictor.load();
-    let promote = max_rhat <= config.rhat_gate || max_rhat <= current.max_rhat;
+    // Epoch 0 is the prior-only boot predictor, fit on nothing: its R̂ of
+    // 1.0 is no bar, so any first fit with a finite R̂ replaces it.
+    let promote = max_rhat <= config.rhat_gate
+        || max_rhat <= current.max_rhat
+        || (current.epoch == 0 && max_rhat.is_finite());
     if let Some(o) = &obs {
         o.rhat_seconds.record_duration(rhat_started.elapsed());
     }
@@ -619,6 +621,10 @@ pub fn refit_once(
     }
     outcome
 }
+
+/// Cap on the exponential backoff applied after consecutive refit
+/// failures (the delay doubles from `interval` up to this).
+const MAX_BACKOFF: Duration = Duration::from_secs(60);
 
 /// Delay before the next attempt after `failures` consecutive refit
 /// failures: `interval · 2^failures`, capped at `max_backoff`.
@@ -737,8 +743,7 @@ impl RefitDaemon {
                             // must not retry every interval forever,
                             // spamming stderr and burning a core.
                             failures += 1;
-                            let delay =
-                                failure_backoff(config.interval, failures, config.max_backoff);
+                            let delay = failure_backoff(config.interval, failures, MAX_BACKOFF);
                             backoff_until = Some(Instant::now() + delay);
                             crate::log_warn!(
                                 "refit",
@@ -1051,9 +1056,11 @@ mod tests {
             ..fast_config()
         };
         let predictor = EpochPredictor::new(&cfg.ltm.priors);
-        // Pretend the served epoch already has a perfect R̂ so the
-        // "never reject an improvement" clause cannot save the candidate.
+        // Pretend a fitted epoch with a perfect R̂ is served, so neither
+        // the "never reject an improvement" clause nor the epoch-0 rule
+        // can save the candidate.
         let mut served = EpochSnapshot::boot(&cfg.ltm.priors);
+        served.epoch = 1;
         served.max_rhat = 0.0;
         predictor.restore(served);
         let state = Mutex::new(RefitState::new());
@@ -1061,7 +1068,7 @@ mod tests {
             RefitOutcome::Rejected { gate, .. } => assert_eq!(gate, 0.0),
             other => panic!("expected rejection, got {other:?}"),
         }
-        assert_eq!(predictor.load().epoch, 0, "served epoch unchanged");
+        assert_eq!(predictor.load().epoch, 1, "served epoch unchanged");
         assert_eq!(predictor.epochs_rejected(), 1);
         assert_eq!(store.pending(), 0, "pending consumed even on rejection");
         let st = state.locked();
@@ -1069,6 +1076,24 @@ mod tests {
             st.streaming().is_some() && st.watermark() == store.accepted_seq(),
             "the fold is committed even when promotion is vetoed"
         );
+    }
+
+    #[test]
+    fn first_full_refit_replaces_the_prior_only_epoch() {
+        // Epoch 0 was fit on nothing, so even a gate no fit can pass must
+        // not keep a fresh server on its priors.
+        let store = seeded_store();
+        let cfg = RefitConfig {
+            rhat_gate: 0.0,
+            ..fast_config()
+        };
+        let predictor = EpochPredictor::new(&cfg.ltm.priors);
+        let state = Mutex::new(RefitState::new());
+        match run(&store, &predictor, &cfg, &state, 1, RefitMode::Full) {
+            RefitOutcome::Published { epoch, .. } => assert_eq!(epoch, 1),
+            other => panic!("expected the first refit to publish, got {other:?}"),
+        }
+        assert_eq!(predictor.epochs_rejected(), 0);
     }
 
     /// An accumulator claiming more sources than the store has interned:

@@ -348,58 +348,50 @@ struct ClaimsResponse {
     epoch: u64,
 }
 
-#[derive(Debug, Serialize)]
-struct QueryResponse {
-    domain: String,
-    probability: f64,
-    epoch: u64,
-    unknown_sources: Vec<String>,
-}
-
-/// The `?methods=` variant of a query response: `probability` is still
-/// the LTM answer; `methods` maps each requested wire name (plus
-/// `"ensemble"` when requested) to its score.
-#[derive(Debug, Serialize)]
-struct QueryMethodsResponse {
-    domain: String,
-    probability: f64,
-    epoch: u64,
-    unknown_sources: Vec<String>,
-    methods: BTreeMap<String, f64>,
-}
-
-/// One scored fact query inside a `POST …/query/batch` response.
-#[derive(Debug, Serialize)]
-struct BatchItem {
+/// One answered claim list: its probability under the served epoch, the
+/// source names the store does not know, and, only when the request
+/// carried `?methods=`, each requested method's score (`probability` is
+/// the `ltm` one). `/query/batch` writes it as a `results` item;
+/// `/query` writes its fields inline (see [`Answer::fields`]).
+#[derive(Debug)]
+struct Answer {
     probability: f64,
     unknown_sources: Vec<String>,
+    methods: Option<BTreeMap<String, f64>>,
 }
 
-/// `POST …/query/batch` — every query scored against **one** epoch
+impl Answer {
+    /// The answer's keys in wire order, with `epoch` after `probability`
+    /// when given.
+    fn fields(&self, epoch: Option<u64>) -> Vec<(String, Value)> {
+        let mut fields = Vec::with_capacity(5);
+        let mut put = |key: &str, value: Value| fields.push((key.to_owned(), value));
+        put("probability", self.probability.to_value());
+        if let Some(epoch) = epoch {
+            put("epoch", epoch.to_value());
+        }
+        put("unknown_sources", self.unknown_sources.to_value());
+        if let Some(methods) = &self.methods {
+            put("methods", methods.to_value());
+        }
+        fields
+    }
+}
+
+impl Serialize for Answer {
+    fn to_value(&self) -> Value {
+        Value::Object(self.fields(None))
+    }
+}
+
+/// `POST …/query/batch` — every claim list answered against **one** epoch
 /// snapshot, results in request order.
 #[derive(Debug, Serialize)]
-struct BatchQueryResponse {
+struct BatchResponse {
     domain: String,
     epoch: u64,
     count: usize,
-    results: Vec<BatchItem>,
-}
-
-/// The `?methods=` variant of a batch item.
-#[derive(Debug, Serialize)]
-struct BatchItemMethods {
-    probability: f64,
-    unknown_sources: Vec<String>,
-    methods: BTreeMap<String, f64>,
-}
-
-/// The `?methods=` variant of a batch response.
-#[derive(Debug, Serialize)]
-struct BatchQueryMethodsResponse {
-    domain: String,
-    epoch: u64,
-    count: usize,
-    results: Vec<BatchItemMethods>,
+    results: Vec<Answer>,
 }
 
 /// One method's rolling evaluation against the loaded labels.
@@ -1043,13 +1035,10 @@ fn create_domain(ctx: &Context, name: &str, kind: ModelKind) -> Result<Arc<Domai
     Ok(domain)
 }
 
-/// One parsed ingest row: `(entity, attr, source, value)`.
-type IngestRow = (String, String, String, Option<f64>);
-
 /// Parses an ingest body into rows. Boolean and positive-only domains
 /// take 3-field triples; real-valued domains take 4-field rows with a
 /// finite numeric value.
-fn parse_triples(body: &str, kind: ModelKind) -> Result<Vec<IngestRow>, String> {
+fn parse_triples(body: &str, kind: ModelKind) -> Result<Vec<LogRecord>, String> {
     let parsed: Value = serde_json::from_str(body).map_err(|e| format!("bad claims body: {e}"))?;
     let Some(Value::Array(rows)) = parsed.get_field("triples") else {
         return Err("claims body needs a `triples` array".into());
@@ -1091,7 +1080,12 @@ fn parse_triples(body: &str, kind: ModelKind) -> Result<Vec<IngestRow>, String> 
         } else {
             None
         };
-        out.push((text(0)?, text(1)?, text(2)?, value));
+        out.push(LogRecord {
+            entity: text(0)?,
+            attr: text(1)?,
+            source: text(2)?,
+            value,
+        });
     }
     Ok(out)
 }
@@ -1099,19 +1093,10 @@ fn parse_triples(body: &str, kind: ModelKind) -> Result<Vec<IngestRow>, String> 
 fn ingest(domain: &Domain, body: &str) -> (u16, String) {
     // Validate the whole batch before committing any of it, so a 400
     // never leaves a silently half-ingested prefix behind.
-    let rows = match parse_triples(body, domain.kind()) {
-        Ok(rows) => rows,
+    let records = match parse_triples(body, domain.kind()) {
+        Ok(records) => records,
         Err(e) => return error(400, e),
     };
-    let records: Vec<LogRecord> = rows
-        .into_iter()
-        .map(|(entity, attr, source, value)| LogRecord {
-            entity,
-            attr,
-            source,
-            value,
-        })
-        .collect();
     // One batched ingest: journaled to the WAL (if attached) under the
     // ingest-order lock and fsync'd before the 200 below — the ack IS
     // the durability contract.
@@ -1178,55 +1163,60 @@ fn parse_methods_param(path: &str) -> Result<Option<Vec<String>>, String> {
     Ok(Some(requested))
 }
 
-/// Scores one ad-hoc boolean claim set under every requested method.
-/// `tables` may be `None` only when `requested` is exactly `["ltm"]`.
+/// Why `?methods=` is refused on a real-valued domain.
+const NO_SHADOW_METHODS: &str = "real-valued domains have no shadow methods (drop ?methods=)";
+
+/// Why shadow methods and `/eval` are refused on an epoch without shadow
+/// tables.
+const NO_SHADOW_TABLES: &str = "no shadow tables published yet (wait for the first promoted \
+                                refit, or the server runs with shadow fitting disabled)";
+
+/// Scores one boolean claim list under every requested method, given its
+/// Equation-3 `probability`, which is both the `ltm` score and the LTM
+/// member of the ensemble. Every method but `ltm` reads `tables`; a name
+/// that matches no column is an unknown method.
 fn method_scores(
     requested: &[String],
     tables: Option<&ShadowTables>,
-    snap: &crate::epoch::EpochSnapshot,
+    probability: f64,
     claims: &[(SourceId, bool)],
 ) -> Result<BTreeMap<String, f64>, String> {
     let ltm_wire = shadow::wire_name(shadow::LTM_METHOD);
     let mut out = BTreeMap::new();
     for wire in requested {
         let score = if *wire == ltm_wire {
-            snap.predictor.predict_fact(claims)
+            Some(probability)
         } else if *wire == shadow::ENSEMBLE_METHOD {
-            let Some(tables) = tables else {
-                return Err(format!("method `{wire}` needs shadow tables"));
-            };
-            let per_method: Vec<f64> = tables
-                .methods
-                .iter()
-                .enumerate()
-                .map(|(m, col)| {
-                    if m == 0 {
-                        snap.predictor.predict_fact(claims)
-                    } else {
-                        shadow::score_claims(&col.trust, claims)
-                    }
-                })
-                .collect();
-            tables.ensemble_of(&per_method)
+            tables.map(|tables| {
+                let per_method: Vec<f64> = tables
+                    .methods
+                    .iter()
+                    .enumerate()
+                    .map(|(m, col)| {
+                        if m == 0 {
+                            probability
+                        } else {
+                            shadow::score_claims(&col.trust, claims)
+                        }
+                    })
+                    .collect();
+                tables.ensemble_of(&per_method)
+            })
         } else {
-            let Some(tables) = tables else {
-                return Err(format!("method `{wire}` needs shadow tables"));
-            };
-            let col = tables
-                .method_index(wire)
-                .and_then(|m| tables.methods.get(m));
-            let Some(col) = col else {
-                return Err(format!(
-                    "unknown method `{wire}` (use methods=all, or a comma list of \
-                     ltm, ensemble, {})",
-                    ltm_baselines::all_baselines()
-                        .iter()
-                        .map(|m| shadow::wire_name(m.name()))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            };
-            shadow::score_claims(&col.trust, claims)
+            tables
+                .and_then(|tables| tables.methods.get(tables.method_index(wire)?))
+                .map(|col| shadow::score_claims(&col.trust, claims))
+        };
+        let Some(score) = score else {
+            return Err(format!(
+                "unknown method `{wire}` (use methods=all, or a comma list of \
+                 ltm, ensemble, {})",
+                ltm_baselines::all_baselines()
+                    .iter()
+                    .map(|m| shadow::wire_name(m.name()))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ));
         };
         out.insert(wire.clone(), score);
     }
@@ -1296,8 +1286,56 @@ fn parse_claim_rows(domain: &Domain, rows: &[Value], label: &str) -> Result<Pars
     })
 }
 
+/// The one answer path of `/query` and `/query/batch`: answers every
+/// claim list against **one** epoch snapshot, so the answers agree with
+/// each other and no promotion lands between two of them. `?methods=` is
+/// refused with 409 on a real-valued domain, then with 409 for methods
+/// beyond `ltm` while the epoch has no shadow tables, each checked once;
+/// an unknown method is a 400 when the first list is scored. Each list's
+/// probability is computed once. Returns the epoch and the answers in
+/// list order.
+fn answer(
+    domain: &Domain,
+    methods: Option<&[String]>,
+    lists: Vec<ParsedClaims>,
+) -> Result<(u64, Vec<Answer>), (u16, String)> {
+    let valued = domain.kind().valued();
+    let snap = domain.predictor().load();
+    let tables = snap.shadow.as_deref();
+    if let Some(requested) = methods {
+        if valued {
+            return Err(error(409, NO_SHADOW_METHODS));
+        }
+        let ltm_wire = shadow::wire_name(shadow::LTM_METHOD);
+        if tables.is_none() && requested.iter().any(|m| *m != ltm_wire) {
+            return Err(error(409, NO_SHADOW_TABLES));
+        }
+    }
+    let mut answers = Vec::with_capacity(lists.len());
+    for list in lists {
+        let probability = if valued {
+            snap.predictor.predict_real(&list.real_claims)
+        } else {
+            snap.predictor.predict_fact(&list.bool_claims)
+        };
+        let scores = methods
+            .map(|requested| method_scores(requested, tables, probability, &list.bool_claims))
+            .transpose()
+            .map_err(|e| error(400, e))?;
+        answers.push(Answer {
+            probability,
+            unknown_sources: list.unknown,
+            methods: scores,
+        });
+    }
+    Ok((snap.epoch, answers))
+}
+
+/// `POST …/query[?methods=…]` — answers one claim list
+/// (`{"claims": [["source", true|false|value], …]}`) as
+/// `{domain, probability, epoch, unknown_sources[, methods]}`.
 fn query(domain: &Domain, path: &str, body: &str) -> (u16, String) {
-    let methods_param = match parse_methods_param(path) {
+    let methods = match parse_methods_param(path) {
         Ok(m) => m,
         Err(e) => return error(400, e),
     };
@@ -1308,72 +1346,27 @@ fn query(domain: &Domain, path: &str, body: &str) -> (u16, String) {
     let Some(Value::Array(rows)) = parsed.get_field("claims") else {
         return error(400, "query body needs a `claims` array");
     };
-    let ParsedClaims {
-        bool_claims,
-        real_claims,
-        unknown,
-    } = match parse_claim_rows(domain, rows, "claim") {
-        Ok(p) => p,
+    let list = match parse_claim_rows(domain, rows, "claim") {
+        Ok(list) => list,
         Err(e) => return error(400, e),
     };
-    let valued = domain.kind().valued();
-    let snap = domain.predictor().load();
-    let probability = if valued {
-        snap.predictor.predict_real(&real_claims)
-    } else {
-        snap.predictor.predict_fact(&bool_claims)
-    };
-    let Some(requested) = methods_param else {
-        return json(
-            200,
-            &QueryResponse {
-                domain: domain.name().to_owned(),
-                probability,
-                epoch: snap.epoch,
-                unknown_sources: unknown,
-            },
-        );
-    };
-    if valued {
-        return error(
-            409,
-            "real-valued domains have no shadow methods (drop ?methods=)",
-        );
-    }
-    let ltm_wire = shadow::wire_name(shadow::LTM_METHOD);
-    let needs_tables = requested.iter().any(|m| *m != ltm_wire);
-    let tables = snap.shadow.as_deref();
-    if needs_tables && tables.is_none() {
-        return error(
-            409,
-            "no shadow tables published yet (wait for the first promoted refit, or the \
-             server runs with shadow fitting disabled)",
-        );
-    }
-    match method_scores(&requested, tables, &snap, &bool_claims) {
-        Ok(methods) => json(
-            200,
-            &QueryMethodsResponse {
-                domain: domain.name().to_owned(),
-                probability,
-                epoch: snap.epoch,
-                unknown_sources: unknown,
-                methods,
-            },
-        ),
-        Err(e) => error(400, e),
+    match answer(domain, methods.as_deref(), vec![list]) {
+        Ok((epoch, answers)) => {
+            let mut fields = vec![("domain".to_owned(), domain.name().to_value())];
+            fields.extend(answers.iter().flat_map(|a| a.fields(Some(epoch))));
+            json(200, &Value::Object(fields))
+        }
+        Err(rejection) => rejection,
     }
 }
 
-/// `POST …/query/batch[?methods=…]` — scores a JSON array of fact
-/// queries (`{"queries": [[["source", true], …], …]}`, each entry a
-/// `claims`-shaped array) against **one** epoch snapshot, so every
-/// result in the batch is mutually consistent; results come back in
-/// request order. An empty batch is a valid no-op. The whole body is
-/// validated before anything is scored — a 400 never returns a
-/// half-answered batch.
+/// `POST …/query/batch[?methods=…]` — answers a JSON array of claim lists
+/// (`{"queries": [[["source", true], …], …]}`) as `{domain, epoch, count,
+/// results}`, results in request order. An empty batch is a valid no-op.
+/// Every entry is parsed before any is answered, so a 400 never returns
+/// a half-answered batch.
 fn query_batch(ctx: &Context, domain: &Domain, path: &str, body: &str) -> (u16, String) {
-    let methods_param = match parse_methods_param(path) {
+    let methods = match parse_methods_param(path) {
         Ok(m) => m,
         Err(e) => return error(400, e),
     };
@@ -1387,87 +1380,31 @@ fn query_batch(ctx: &Context, domain: &Domain, path: &str, body: &str) -> (u16, 
             "batch body needs a `queries` array (each entry a `claims`-shaped array)",
         );
     };
-    let valued = domain.kind().valued();
-    let mut items = Vec::with_capacity(queries.len());
+    let mut lists = Vec::with_capacity(queries.len());
     for (q, entry) in queries.iter().enumerate() {
         let Value::Array(rows) = entry else {
             return error(400, format!("query {q} is not an array of claims"));
         };
         match parse_claim_rows(domain, rows, &format!("query {q} claim")) {
-            Ok(p) => items.push(p),
+            Ok(list) => lists.push(list),
             Err(e) => return error(400, e),
         }
     }
     if ctx.metrics {
-        ctx.batch_size.record(items.len() as u64);
+        ctx.batch_size.record(lists.len() as u64);
     }
-    // One snapshot, cloned out of one short critical section, answers
-    // the whole batch — the per-query Arc-load cost is amortised away
-    // and no refit promotion can land between two results.
-    let snap = domain.predictor().load();
-    let score = |item: &ParsedClaims| {
-        if valued {
-            snap.predictor.predict_real(&item.real_claims)
-        } else {
-            snap.predictor.predict_fact(&item.bool_claims)
-        }
-    };
-    let Some(requested) = methods_param else {
-        let results: Vec<BatchItem> = items
-            .into_iter()
-            .map(|item| BatchItem {
-                probability: score(&item),
-                unknown_sources: item.unknown,
-            })
-            .collect();
-        let count = results.len();
-        return json(
+    match answer(domain, methods.as_deref(), lists) {
+        Ok((epoch, results)) => json(
             200,
-            &BatchQueryResponse {
+            &BatchResponse {
                 domain: domain.name().to_owned(),
-                epoch: snap.epoch,
-                count,
+                epoch,
+                count: results.len(),
                 results,
             },
-        );
-    };
-    if valued {
-        return error(
-            409,
-            "real-valued domains have no shadow methods (drop ?methods=)",
-        );
+        ),
+        Err(rejection) => rejection,
     }
-    let ltm_wire = shadow::wire_name(shadow::LTM_METHOD);
-    let needs_tables = requested.iter().any(|m| *m != ltm_wire);
-    let tables = snap.shadow.as_deref();
-    if needs_tables && tables.is_none() {
-        return error(
-            409,
-            "no shadow tables published yet (wait for the first promoted refit, or the \
-             server runs with shadow fitting disabled)",
-        );
-    }
-    let mut results = Vec::with_capacity(items.len());
-    for item in items {
-        match method_scores(&requested, tables, &snap, &item.bool_claims) {
-            Ok(methods) => results.push(BatchItemMethods {
-                probability: snap.predictor.predict_fact(&item.bool_claims),
-                unknown_sources: item.unknown,
-                methods,
-            }),
-            Err(e) => return error(400, e),
-        }
-    }
-    let count = results.len();
-    json(
-        200,
-        &BatchQueryMethodsResponse {
-            domain: domain.name().to_owned(),
-            epoch: snap.epoch,
-            count,
-            results,
-        },
-    )
 }
 
 /// `GET …/eval` — joins the loaded ground-truth labels against the
@@ -1484,11 +1421,7 @@ fn eval(domain: &Domain) -> (u16, String) {
     }
     let snap = domain.predictor().load();
     let Some(tables) = snap.shadow.as_deref() else {
-        return error(
-            409,
-            "no shadow tables published yet (wait for the first promoted refit, or the \
-             server runs with shadow fitting disabled)",
-        );
+        return error(409, NO_SHADOW_TABLES);
     };
     // Join labels to shadow rows. The label lock is already released;
     // fact_id_by_name takes one shard lock per lookup.

@@ -134,19 +134,6 @@ impl ShadowTables {
         self.methods.iter().position(|m| wire_name(&m.name) == wire)
     }
 
-    /// The score of method column `m` on global fact `id`, if the fact
-    /// was part of the fit extraction.
-    pub fn score(&self, m: usize, id: u64) -> Option<f64> {
-        let row = self.fact_ids.binary_search(&id).ok()?;
-        self.methods.get(m).and_then(|c| c.scores.get(row)).copied()
-    }
-
-    /// The ensemble score on global fact `id`, if present.
-    pub fn ensemble_score(&self, id: u64) -> Option<f64> {
-        let row = self.fact_ids.binary_search(&id).ok()?;
-        self.ensemble.get(row).copied()
-    }
-
     /// Ranks an ad-hoc score `q` against method column `m`'s fitted score
     /// population: the tie-aware empirical CDF in `[0, 1]` (0.5 when the
     /// column is empty).
@@ -602,11 +589,10 @@ mod tests {
                 );
             }
         }
-        // Lookups by global id resolve.
+        // Columns resolve by wire name, each row parallel to `fact_ids`.
         let voting = tables.method_index("voting").expect("voting column");
-        assert!(tables.score(voting, 0).is_some());
-        assert!(tables.ensemble_score(0).is_some());
-        assert_eq!(tables.score(voting, 999), None);
+        assert_eq!(tables.methods[voting].scores.len(), tables.fact_ids.len());
+        assert_eq!(tables.ensemble.len(), tables.fact_ids.len());
     }
 
     fn boot_ltm() -> IncrementalLtm {

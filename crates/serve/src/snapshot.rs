@@ -452,11 +452,22 @@ fn decode(mut bytes: Vec<u8>) -> io::Result<Snapshot> {
 /// **not** have a daemon yet; the server spawns daemons for every domain
 /// after restore.
 pub fn restore(snapshot: &Snapshot, domains: &DomainSet, config: &RefitConfig) -> io::Result<()> {
-    let (records, _, issue) = wal::decode_segment(&snapshot.frames);
-    if let Some(issue) = issue {
-        return Err(invalid(format!("snapshot rows are damaged: {issue:?}")));
-    }
-    let mut records = records.into_iter().peekable();
+    // The row frames, decoded one at a time as their domain replays them.
+    let bytes = &snapshot.frames;
+    let mut at = 0;
+    let mut frames = std::iter::from_fn(|| {
+        (at < bytes.len()).then(|| match wal::decode_frame(bytes, at) {
+            Ok((record, next)) => {
+                at = next;
+                Ok(record)
+            }
+            Err(issue) => {
+                at = bytes.len();
+                Err(invalid(format!("snapshot rows are damaged: {issue:?}")))
+            }
+        })
+    })
+    .peekable();
     for rec in &snapshot.domains {
         let kind: ModelKind = rec
             .kind
@@ -482,15 +493,18 @@ pub fn restore(snapshot: &Snapshot, domains: &DomainSet, config: &RefitConfig) -
                 created
             }
         };
-        // The domain's frames are the next ones in the file.
-        let rows = std::iter::from_fn(|| records.next_if(|r| r.domain == rec.name));
+        // The domain's frames are the next ones in the file (a damaged
+        // frame is this domain's error).
+        let rows = std::iter::from_fn(|| {
+            frames.next_if(|frame| frame.as_ref().map_or(true, |r| r.domain == rec.name))
+        });
         restore_domain(rec, kind, &domain, config, rows)?;
     }
-    match records.next() {
+    match frames.next() {
         None => Ok(()),
-        Some(r) => Err(invalid(format!(
+        Some(frame) => Err(invalid(format!(
             "snapshot rows of domain `{}` are out of header order",
-            r.domain
+            frame?.domain
         ))),
     }
 }
@@ -500,7 +514,7 @@ fn restore_domain(
     kind: ModelKind,
     domain: &Domain,
     config: &RefitConfig,
-    rows: impl Iterator<Item = WalRecord>,
+    rows: impl Iterator<Item = io::Result<WalRecord>>,
 ) -> io::Result<()> {
     let store: &ShardedStore = domain.store();
     if store.num_shards() != rec.shards {
@@ -526,8 +540,10 @@ fn restore_domain(
             )));
         }
     }
-    wal::replay_records(rows, &rec.name, store)
-        .map_err(|e| invalid(format!("snapshot domain `{}`: {e}", rec.name)))?;
+    for record in rows {
+        wal::replay_record(record?, &rec.name, store)
+            .map_err(|e| invalid(format!("snapshot domain `{}`: {e}", rec.name)))?;
+    }
     if store.accepted_seq() != rec.rows {
         return Err(invalid(format!(
             "snapshot domain `{}` records {} rows but its frames hold {}",
@@ -960,6 +976,23 @@ mod tests {
         let reloaded = load(&path).unwrap();
         assert_eq!(reloaded, capture(&set));
         std::fs::remove_file(&*path).ok();
+    }
+
+    #[test]
+    fn restore_refuses_a_frame_repeating_an_accepted_row() {
+        let set = boolean_set(1);
+        set.default_domain().store().ingest("e", "a", "s");
+        let mut snapshot = capture(&set);
+        // A second, CRC-valid frame that repeats row 1 as row 2.
+        snapshot.frames.extend(wal::encode_record(&WalRecord {
+            domain: DEFAULT_DOMAIN.into(),
+            first_seq: 2,
+            rows: set.default_domain().store().log_snapshot(),
+        }));
+        snapshot.domains[0].rows = 2;
+        let err = restore(&snapshot, &boolean_set(1), &RefitConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("as duplicates"), "{err}");
     }
 
     #[test]

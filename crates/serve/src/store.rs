@@ -489,14 +489,11 @@ impl ShardedStore {
         self.ingest_record(entity, attr, source, Some(value))
     }
 
-    /// Replays one log record (snapshot restore and WAL replay).
-    pub fn replay(&self, record: &LogRecord) -> IngestOutcome {
-        self.ingest_record(&record.entity, &record.attr, &record.source, record.value)
-    }
-
     /// Ingests a batch of rows under **one** acquisition of the
     /// ingest-order lock, optionally journaling the accepted rows before
-    /// the lock is released.
+    /// the lock is released. The rows move into the log; a duplicate is
+    /// dropped. Live ingest, WAL replay and snapshot restore all enter
+    /// the store here.
     ///
     /// Holding the lock across the batch gives the accepted rows
     /// contiguous sequence numbers starting at
@@ -519,7 +516,7 @@ impl ShardedStore {
     /// backlog has reached disk (see [`crate::domain::Domain::ingest_batch`]).
     pub fn ingest_batch(
         &self,
-        rows: &[LogRecord],
+        rows: Vec<LogRecord>,
         journal: Option<JournalFn<'_>>,
     ) -> std::io::Result<BatchOutcome> {
         let mut log = self.log.locked();
@@ -529,7 +526,7 @@ impl ShardedStore {
             ..BatchOutcome::default()
         };
         for row in rows {
-            match self.ingest_locked(&mut log, row.clone()) {
+            match self.ingest_locked(&mut log, row) {
                 IngestOutcome::Duplicate(_) => out.duplicates += 1,
                 IngestOutcome::NewFact(_) => {
                     out.new_facts += 1;
@@ -1022,9 +1019,7 @@ mod tests {
         let store = table1_store(4);
         store.ingest("Harry Potter", "Emma Watson", "Netflix");
         let replayed = ShardedStore::new(4);
-        for rec in store.log_snapshot() {
-            replayed.replay(&rec);
-        }
+        replayed.ingest_batch(store.log_snapshot(), None).unwrap();
         assert_eq!(replayed.source_names(), store.source_names());
         let n = store.stats().facts as u64;
         assert_eq!(replayed.stats().facts as u64, n);
@@ -1061,9 +1056,7 @@ mod tests {
         }
 
         let replayed = ShardedStore::new(8);
-        for rec in store.log_snapshot() {
-            replayed.replay(&rec);
-        }
+        replayed.ingest_batch(store.log_snapshot(), None).unwrap();
         assert_eq!(
             replayed.source_names(),
             store.source_names(),
@@ -1214,9 +1207,7 @@ mod tests {
         store.ingest("Inception", "Leonardo DiCaprio", "IMDB");
 
         let replayed = ShardedStore::new(4);
-        for rec in store.log_snapshot() {
-            replayed.replay(&rec);
-        }
+        replayed.ingest_batch(store.log_snapshot(), None).unwrap();
         assert_eq!(replayed.accepted_seq(), store.accepted_seq());
         let delta = replayed.shard_databases_since(w);
         assert_eq!(delta.delta_facts, 1, "only the post-watermark fact");

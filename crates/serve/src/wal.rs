@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::store::{IngestOutcome, LogRecord, ShardedStore};
+use crate::store::{LogRecord, ShardedStore};
 use crate::sync::LockExt;
 
 /// Segment file names: `wal-{first_seq:020}.seg` (20 digits covers u64).
@@ -378,66 +378,62 @@ fn parse_payload(payload: &[u8]) -> Result<WalRecord, String> {
     })
 }
 
-/// Decodes a whole segment's bytes. Returns the cleanly decoded records,
-/// the byte length of the clean prefix, and the issue that stopped
-/// decoding (if any). Torn-vs-corrupt is decided here: an incomplete
-/// frame, or a checksum failure on the **final** frame, is
-/// [`SegmentIssue::TornTail`]; a damaged frame with valid bytes after it
-/// is [`SegmentIssue::Corrupt`].
+/// Decodes the frame that starts at byte `at` of `bytes`, returning its
+/// record and the offset just past it. Torn-vs-corrupt is decided here:
+/// an incomplete frame, or a checksum failure on the **final** frame, is
+/// [`SegmentIssue::TornTail`]; a damaged frame with bytes after it is
+/// [`SegmentIssue::Corrupt`].
+pub(crate) fn decode_frame(bytes: &[u8], at: usize) -> Result<(WalRecord, usize), SegmentIssue> {
+    let torn = SegmentIssue::TornTail { offset: at };
+    let rest = bytes.get(at..).unwrap_or_default();
+    let Some((head, rest)) = rest.split_first_chunk::<8>() else {
+        return Err(torn);
+    };
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *head;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    if len > MAX_RECORD {
+        return Err(SegmentIssue::Corrupt {
+            offset: at,
+            reason: format!("implausible record length {len}"),
+        });
+    }
+    let Some(payload) = rest.get(..len as usize) else {
+        return Err(torn);
+    };
+    if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+        // A final-frame checksum failure is a partially persisted
+        // append (the length landed, part of the payload did not);
+        // mid-log it means the disk lied about acked bytes.
+        return Err(if rest.len() == payload.len() {
+            torn
+        } else {
+            SegmentIssue::Corrupt {
+                offset: at,
+                reason: "checksum mismatch".into(),
+            }
+        });
+    }
+    let record =
+        parse_payload(payload).map_err(|reason| SegmentIssue::Corrupt { offset: at, reason })?;
+    Ok((record, at + 8 + payload.len()))
+}
+
+/// Decodes a whole segment's bytes, one frame at a time. Returns the
+/// cleanly decoded records, the byte length of the clean prefix, and the
+/// issue that stopped decoding (if any): an incomplete frame, or a
+/// checksum failure on the final frame, is [`SegmentIssue::TornTail`]; a
+/// damaged frame with bytes after it is [`SegmentIssue::Corrupt`].
 pub fn decode_segment(bytes: &[u8]) -> (Vec<WalRecord>, usize, Option<SegmentIssue>) {
     let mut records = Vec::new();
     let mut at = 0usize;
     while at < bytes.len() {
-        let remaining = bytes.len() - at;
-        if remaining < 8 {
-            return (records, at, Some(SegmentIssue::TornTail { offset: at }));
-        }
-        // analyzer: allow(panic-index, panic-unwrap) -- remaining >= 8 was checked above; the slice is exactly 4 bytes
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        if len > MAX_RECORD {
-            return (
-                records,
-                at,
-                Some(SegmentIssue::Corrupt {
-                    offset: at,
-                    reason: format!("implausible record length {len}"),
-                }),
-            );
-        }
-        let len = len as usize;
-        if remaining - 8 < len {
-            return (records, at, Some(SegmentIssue::TornTail { offset: at }));
-        }
-        // analyzer: allow(panic-index, panic-unwrap) -- remaining >= 8 was checked above; the slice is exactly 4 bytes
-        let expected = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        // analyzer: allow(panic-index) -- remaining - 8 >= len was checked above
-        let payload = &bytes[at + 8..at + 8 + len];
-        let is_final = at + 8 + len == bytes.len();
-        if crc32(payload) != expected {
-            // A final-frame checksum failure is a partially persisted
-            // append (the length landed, part of the payload did not);
-            // mid-log it means the disk lied about acked bytes.
-            let issue = if is_final {
-                SegmentIssue::TornTail { offset: at }
-            } else {
-                SegmentIssue::Corrupt {
-                    offset: at,
-                    reason: "checksum mismatch".into(),
-                }
-            };
-            return (records, at, Some(issue));
-        }
-        match parse_payload(payload) {
-            Ok(rec) => records.push(rec),
-            Err(reason) => {
-                return (
-                    records,
-                    at,
-                    Some(SegmentIssue::Corrupt { offset: at, reason }),
-                )
+        match decode_frame(bytes, at) {
+            Ok((record, next)) => {
+                records.push(record);
+                at = next;
             }
+            Err(issue) => return (records, at, Some(issue)),
         }
-        at += 8 + len;
     }
     (records, at, None)
 }
@@ -1009,52 +1005,61 @@ fn replay_segments(dir: &Path, domain: &str, store: &ShardedStore) -> io::Result
             }
         }
         report.records += records.len() as u64;
-        report.replayed_rows += replay_records(records, domain, store)
-            .map_err(|e| invalid(format!("{}: WAL {e}", path.display())))?;
+        for record in records {
+            report.replayed_rows += replay_record(record, domain, store)
+                .map_err(|e| invalid(format!("{}: WAL {e}", path.display())))?;
+        }
     }
     Ok(report)
 }
 
-/// Replays decoded records into `store` and returns the rows replayed —
-/// the one replay step of boot-time WAL replay and
-/// [`crate::snapshot::restore`]. Rows the store already holds are
-/// skipped; a sequence gap, a duplicate row, or another domain's record
-/// is an error, which the caller prefixes with the records' origin.
-pub(crate) fn replay_records(
-    records: impl IntoIterator<Item = WalRecord>,
+/// Replays one decoded record into `store` and returns the rows replayed
+/// — the one replay step of boot-time WAL replay and
+/// [`crate::snapshot::restore`]. The rows move into the store through
+/// [`ShardedStore::ingest_batch`], under one ingest-order lock per
+/// record. Rows the store already holds are skipped; a sequence gap, a
+/// duplicate row, or another domain's record is an error, which the
+/// caller prefixes with the record's origin.
+pub(crate) fn replay_record(
+    record: WalRecord,
     domain: &str,
     store: &ShardedStore,
 ) -> Result<u64, String> {
-    let mut replayed = 0;
-    for rec in records {
-        if rec.domain != domain {
-            return Err(format!(
-                "record for domain `{}` found in the `{domain}` log",
-                rec.domain
-            ));
-        }
-        for (i, row) in rec.rows.iter().enumerate() {
-            let seq = rec.first_seq + i as u64;
-            let current = store.accepted_seq();
-            if seq <= current {
-                continue; // already restored from the snapshot
-            }
-            if seq != current + 1 {
-                return Err(format!(
-                    "jumps to sequence {seq} but the store is at {current}: the rows in \
-                     between are missing"
-                ));
-            }
-            if matches!(store.replay(row), IngestOutcome::Duplicate(_)) {
-                return Err(format!(
-                    "row at sequence {seq} replays as a duplicate: the log disagrees with \
-                     the store"
-                ));
-            }
-            replayed += 1;
-        }
+    let WalRecord {
+        domain: owner,
+        first_seq,
+        mut rows,
+    } = record;
+    if owner != domain {
+        return Err(format!(
+            "record for domain `{owner}` found in the `{domain}` log"
+        ));
     }
-    Ok(replayed)
+    // Rows numbered up to `current` are already restored from the
+    // snapshot. `first_seq` comes from disk, so nothing is added to it.
+    let current = store.accepted_seq();
+    let held = (current + 1).saturating_sub(first_seq);
+    let skip = usize::try_from(held).unwrap_or(usize::MAX).min(rows.len());
+    rows.drain(..skip);
+    if rows.is_empty() {
+        return Ok(0);
+    }
+    if held == 0 && first_seq != current + 1 {
+        return Err(format!(
+            "jumps to sequence {first_seq} but the store is at {current}: the rows in \
+             between are missing"
+        ));
+    }
+    let outcome = store.ingest_batch(rows, None).map_err(|e| e.to_string())?;
+    if outcome.duplicates > 0 {
+        return Err(format!(
+            "the record from sequence {} replays {} row(s) as duplicates: the log \
+             disagrees with the store",
+            current + 1,
+            outcome.duplicates
+        ));
+    }
+    Ok(outcome.accepted)
 }
 
 /// Domain names with a WAL directory under `root` (for boot-time
@@ -1256,12 +1261,12 @@ mod tests {
         // Two batches through the real batch-ingest path.
         store
             .ingest_batch(
-                &[row("e0", None), row("e1", None)],
+                vec![row("e0", None), row("e1", None)],
                 Some(&|s, r| wal.append_batch(s, r)),
             )
             .unwrap();
         store
-            .ingest_batch(&[row("e2", None)], Some(&|s, r| wal.append_batch(s, r)))
+            .ingest_batch(vec![row("e2", None)], Some(&|s, r| wal.append_batch(s, r)))
             .unwrap();
         wal.sync_now().unwrap();
         let (appends, _, bytes, _) = wal.counters();
@@ -1286,7 +1291,7 @@ mod tests {
         let store = ShardedStore::new(1);
         let (wal, _) = DomainWal::open(&config(&dir), "d", &meta_for("d"), &store).unwrap();
         store
-            .ingest_batch(&[row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
+            .ingest_batch(vec![row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
             .unwrap();
         wal.sync_now().unwrap();
         // Simulate a crash mid-append: half a frame at the tail.
@@ -1317,7 +1322,7 @@ mod tests {
         let (wal, _) = DomainWal::open(&config(&dir), "d", &meta_for("d"), &store).unwrap();
         for e in ["e0", "e1"] {
             store
-                .ingest_batch(&[row(e, None)], Some(&|s, r| wal.append_batch(s, r)))
+                .ingest_batch(vec![row(e, None)], Some(&|s, r| wal.append_batch(s, r)))
                 .unwrap();
         }
         wal.sync_now().unwrap();
@@ -1342,7 +1347,7 @@ mod tests {
         let (wal, _) = DomainWal::open(&cfg, "d", &meta_for("d"), &store).unwrap();
         for e in ["e0", "e1", "e2"] {
             store
-                .ingest_batch(&[row(e, None)], Some(&|s, r| wal.append_batch(s, r)))
+                .ingest_batch(vec![row(e, None)], Some(&|s, r| wal.append_batch(s, r)))
                 .unwrap();
         }
         assert!(wal.has_sealed_segments());
@@ -1375,7 +1380,7 @@ mod tests {
         let (wal, _) = DomainWal::open(&cfg, "d", &meta_for("d"), &store).unwrap();
         for e in ["e0", "e1", "e2"] {
             store
-                .ingest_batch(&[row(e, None)], Some(&|s, r| wal.append_batch(s, r)))
+                .ingest_batch(vec![row(e, None)], Some(&|s, r| wal.append_batch(s, r)))
                 .unwrap();
         }
         drop(wal);
@@ -1385,6 +1390,25 @@ mod tests {
         std::fs::remove_file(&segs[1].1).unwrap();
         let err = DomainWal::open(&cfg, "d", &meta_for("d"), &ShardedStore::new(1)).unwrap_err();
         assert!(err.to_string().contains("jumps to sequence"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_frame_repeating_an_accepted_row_refuses_to_boot() {
+        // Both frames pass their CRC, but the second repeats the first's
+        // row: the log disagrees with the store, so replay refuses.
+        let dir = temp_dir("repeat");
+        let store = ShardedStore::new(1);
+        let (wal, _) = DomainWal::open(&config(&dir), "d", &meta_for("d"), &store).unwrap();
+        store
+            .ingest_batch(vec![row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
+            .unwrap();
+        wal.append_batch(2, &[row("e0", None)]).unwrap();
+        drop(wal);
+        let err =
+            DomainWal::open(&config(&dir), "d", &meta_for("d"), &ShardedStore::new(1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("as duplicates"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1401,13 +1425,13 @@ mod tests {
         let store = ShardedStore::new(1);
         let (wal, _) = DomainWal::open(&cfg, "d", &meta_for("d"), &store).unwrap();
         store
-            .ingest_batch(&[row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
+            .ingest_batch(vec![row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
             .unwrap();
         assert!(!wal.degraded());
 
         fail.store(true, Ordering::Relaxed);
         let err = store
-            .ingest_batch(&[row("e1", None)], Some(&|s, r| wal.append_batch(s, r)))
+            .ingest_batch(vec![row("e1", None)], Some(&|s, r| wal.append_batch(s, r)))
             .unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
         assert!(wal.degraded(), "a failed append must mark the WAL degraded");
@@ -1415,7 +1439,7 @@ mod tests {
 
         fail.store(false, Ordering::Relaxed);
         store
-            .ingest_batch(&[row("e2", None)], Some(&|s, r| wal.append_batch(s, r)))
+            .ingest_batch(vec![row("e2", None)], Some(&|s, r| wal.append_batch(s, r)))
             .unwrap();
         assert!(!wal.degraded(), "a successful append clears the flag");
         assert!(!wal.has_backlog(), "the backlog drained");
@@ -1452,11 +1476,11 @@ mod tests {
 
         fail.store(true, Ordering::Relaxed);
         store
-            .ingest_batch(&[row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
+            .ingest_batch(vec![row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
             .unwrap_err();
         // The retry is duplicate-only; its journal callback never runs.
         let outcome = store
-            .ingest_batch(&[row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
+            .ingest_batch(vec![row("e0", None)], Some(&|s, r| wal.append_batch(s, r)))
             .unwrap();
         assert_eq!(outcome.accepted, 0);
         assert_eq!(outcome.duplicates, 1);
@@ -1489,7 +1513,7 @@ mod tests {
         let (wal, _) = DomainWal::open(&cfg, "d", &meta_for("d"), &store).unwrap();
         for e in ["e0", "e1", "e2"] {
             store
-                .ingest_batch(&[row(e, None)], Some(&|s, r| wal.append_batch(s, r)))
+                .ingest_batch(vec![row(e, None)], Some(&|s, r| wal.append_batch(s, r)))
                 .unwrap();
         }
         let (_, fsyncs, _, _) = wal.counters();

@@ -1,7 +1,8 @@
 //! End-to-end tests of the event-loop front end's new surface: the
 //! `POST …/query/batch` endpoint (empty, oversize, mixed known/unknown,
-//! `?methods=all` parity with single queries), HTTP/1.1 keep-alive reuse
-//! and its counters, and pipelined-request ordering.
+//! `?methods=all` parity with single queries, the statuses of `/query`'s
+//! rejections), HTTP/1.1 keep-alive reuse and its counters, and
+//! pipelined-request ordering.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -9,6 +10,7 @@ use std::time::Duration;
 
 use latent_truth::core::{LtmConfig, SampleSchedule};
 use ltm_serve::http::{http_call, HttpClient};
+use ltm_serve::model::ModelKind;
 use ltm_serve::refit::RefitConfig;
 use ltm_serve::server::{ServeConfig, Server};
 use serde::Value;
@@ -292,5 +294,68 @@ fn batch_queries_count_into_the_size_histogram() {
         .find(|l| l.starts_with("ltm_batch_query_size_count"))
         .unwrap_or_else(|| panic!("no ltm_batch_query_size_count in metrics"));
     assert!(count_line.ends_with(" 2"), "{count_line}");
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn batch_rejects_what_a_single_query_rejects_with_the_same_status() {
+    let server = Server::start(ServeConfig {
+        domains: vec![("scores".into(), ModelKind::RealValued)],
+        ..config()
+    })
+    .expect("boot");
+    let addr = server.addr();
+    // Sends one claim list to `{prefix}/query{query}` and, as a one-entry
+    // batch, to `{prefix}/query/batch{query}`: both must answer `want`.
+    let both = |prefix: &str, query: &str, claims: &str, want: u16| {
+        for (path, body) in [
+            (
+                format!("{prefix}/query{query}"),
+                format!("{{\"claims\":{claims}}}"),
+            ),
+            (
+                format!("{prefix}/query/batch{query}"),
+                format!("{{\"queries\":[{claims}]}}"),
+            ),
+        ] {
+            let (status, response) = http_call(addr, "POST", &path, Some(&body)).unwrap();
+            assert_eq!(status, want, "{path}: {response}");
+        }
+    };
+    let claims = "[[\"good\",true]]";
+    both("/d/scores", "?methods=all", "[[\"sv\",0.5]]", 409);
+    both("", "?methods=voting", claims, 409);
+    both("", "?methods=oracle", claims, 409);
+    both("", "?explain=1", claims, 400);
+    both("", "", "[[\"good\"]]", 400);
+
+    let (status, body) = http_call(addr, "POST", "/claims", Some(&workload_body(10))).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.trigger_refit();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, body) = http_call(addr, "GET", "/stats", None).expect("stats");
+        if field_f64(&parse(&body), "epoch") >= 1.0 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "no epoch: {body}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    both("", "?methods=oracle", claims, 400);
+    both("", "?methods=voting", claims, 200);
+
+    // A non-array entry and a malformed one fail the batch, naming it.
+    for (queries, named) in [
+        ("[[],7]", "query 1 is not an array"),
+        (
+            "[[],[[\"good\",true],[\"lazy\"]]]",
+            "query 1 claim 1 must be",
+        ),
+    ] {
+        let body = format!("{{\"queries\":{queries}}}");
+        let (status, response) = http_call(addr, "POST", "/query/batch", Some(&body)).unwrap();
+        assert_eq!(status, 400, "{response}");
+        assert!(response.contains(named), "{response}");
+    }
     server.shutdown().unwrap();
 }
