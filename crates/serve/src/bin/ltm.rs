@@ -26,9 +26,8 @@
 //! tail — see DESIGN.md §6 "Durability". `--labels FILE` loads ground
 //! truth (`entity,attribute,true|false` CSV, header row skipped) into the
 //! default domain at boot so `GET /eval` can report per-method accuracy
-//! from the first promoted refit; `--no-shadows` skips the per-epoch
-//! baseline shadow fits (queries with `?methods=` beyond `ltm` then
-//! answer 409). `--log-level` (default `info`)
+//! from the first promoted refit; `--no-shadows` skips the baseline
+//! shadow fits (queries with `?methods=` beyond `ltm` then answer 409). `--log-level` (default `info`)
 //! and `--log-format` (default `text`; `json` emits one object per line
 //! for log shippers) control the structured logger; `GET /metrics` on
 //! the running server exposes the Prometheus-format counters and latency

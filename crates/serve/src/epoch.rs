@@ -38,9 +38,12 @@ pub struct EpochSnapshot {
     pub trained_claims: usize,
     /// Sources covered by the learned quality.
     pub trained_sources: usize,
-    /// Shadow baseline tables fit on the same extraction as this epoch
-    /// (`None` for the boot predictor, for real-valued domains, and when
-    /// [`crate::refit::RefitConfig::shadows`] is off). A snapshot restores
+    /// Shadow baseline tables: fit on this epoch's own extraction when a
+    /// full refit (or the domain's first promotion) produced it, otherwise
+    /// carried forward from the epoch before, so they can lag this epoch;
+    /// [`ShadowTables::epoch`] names the epoch they were fit for. `None`
+    /// for the boot predictor, for real-valued domains, and when
+    /// [`crate::refit::RefitConfig::shadows`] is off. A snapshot restores
     /// them with the epoch.
     pub shadow: Option<Arc<ShadowTables>>,
 }

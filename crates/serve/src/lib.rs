@@ -41,9 +41,10 @@
 //!   before the HTTP ack; a background compactor folds sealed segments
 //!   into the snapshot, and boot replays the tail — so an acked batch
 //!   survives `kill -9` (see DESIGN.md §6 "Durability").
-//! * [`shadow`] — the **baseline shadow ensemble**: each promoted refit
-//!   also fits the seven Table 7 baselines on the same extraction and
-//!   publishes their truth tables beside LTM in the epoch swap, so
+//! * [`shadow`] — the **baseline shadow ensemble**: each promoted full
+//!   refit also fits the seven Table 7 baselines on the same extraction
+//!   and publishes their truth tables beside LTM in the epoch swap
+//!   (incremental refits carry them forward), so
 //!   `?methods=all` queries answer every method plus a rank-average
 //!   ensemble, `/stats` and `/metrics` report method agreement
 //!   (pairwise correlation + decision flips), and `GET /eval` scores

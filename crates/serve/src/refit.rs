@@ -33,6 +33,12 @@
 //! non-converging fit cannot re-trigger in a hot loop. A **failed** fold
 //! commits nothing and backs off exponentially instead of retrying every
 //! interval.
+//!
+//! **Shadow tables** ([`crate::shadow`]) ride with a promoted boolean or
+//! positive-only candidate: a full refit fits them on its own extraction,
+//! an incremental one carries the served epoch's tables forward, so the
+//! baselines refresh on the full-refit cadence and never cost an
+//! incremental refit its `O(Δ)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -44,9 +50,11 @@ use ltm_core::{
     worst_rhat, IncrementalLtm, LtmConfig, RealLtmConfig, SampleSchedule, StreamError,
     StreamingLtm, StreamingRealLtm,
 };
+use ltm_model::ClaimDb;
 
 use crate::epoch::{EpochPredictor, EpochSnapshot};
 use crate::model::{ModelKind, ServePredictor};
+use crate::shadow::{fit_shadow_tables, ShadowTables};
 use crate::store::ShardedStore;
 use crate::sync::LockExt;
 
@@ -75,10 +83,13 @@ pub struct RefitConfig {
     /// `0` disables automatic full refits (manual `mode=full` triggers
     /// still work).
     pub full_refit_every: u64,
-    /// Fit the shadow baseline predictors on every published boolean or
-    /// positive-only refit (see [`crate::shadow`]). Disabling skips the
-    /// baseline fits entirely; `?methods=` queries beyond `ltm` then
-    /// answer 409.
+    /// Publish shadow baseline tables with boolean and positive-only
+    /// epochs (see [`crate::shadow`]): a promoted full refit fits them
+    /// afresh on its own extraction, as does any promotion while the
+    /// served epoch has none; a promoted incremental refit carries the
+    /// served epoch's tables forward unchanged. Disabling skips the
+    /// baseline fits entirely and publishes no tables; `?methods=`
+    /// queries beyond `ltm` then answer 409.
     pub shadows: bool,
 }
 
@@ -301,7 +312,15 @@ struct Folded {
     watermark: u64,
     /// Claims in the folded batches.
     delta_claims: usize,
+    /// A full boolean fold's extraction with the global fact ids of its
+    /// batch rows, kept for the shadow fit (`None` for incremental and
+    /// real-valued folds).
+    extraction: Option<Extraction>,
 }
+
+/// Full-extraction batches with, per batch, the global fact id of every
+/// row (see [`ShardedStore::full_databases_with_ids`]).
+type Extraction = (Vec<ClaimDb>, Vec<Vec<u64>>);
 
 enum FoldedAcc {
     Boolean(StreamingLtm),
@@ -333,8 +352,11 @@ fn fold_boolean(
     let ltm = LtmConfig { seed, ..config.ltm };
     let obs = state.locked().obs.clone();
     let extract_started = Instant::now();
-    let (mut streaming, delta) = match mode {
-        RefitMode::Full => (StreamingLtm::new(ltm), store.full_databases()),
+    let (mut streaming, delta, globals) = match mode {
+        RefitMode::Full => {
+            let (delta, globals) = store.full_databases_with_ids();
+            (StreamingLtm::new(ltm), delta, Some(globals))
+        }
         RefitMode::Incremental => {
             let st = state.locked();
             let mut streaming = st
@@ -346,7 +368,7 @@ fn fold_boolean(
             streaming.set_seed(ltm.seed);
             let watermark = st.counters.watermark;
             drop(st);
-            (streaming, store.shard_databases_since(watermark))
+            (streaming, store.shard_databases_since(watermark), None)
         }
     };
     if let Some(o) = &obs {
@@ -403,6 +425,7 @@ fn fold_boolean(
         candidate,
         watermark: delta.watermark,
         delta_claims: delta.delta_claims,
+        extraction: globals.map(|globals| (delta.batches, globals)),
     }))
 }
 
@@ -480,7 +503,46 @@ fn fold_real(
         candidate,
         watermark: delta.watermark,
         delta_claims: delta.delta_claims,
+        extraction: None,
     }))
+}
+
+/// The shadow tables a promoted boolean or positive-only candidate
+/// publishes with. A full refit fits them afresh on its own `extraction`,
+/// and so does a promotion while the `served` epoch has none (the first
+/// one, or a restore without tables), from a new full extraction; any
+/// other promotion carries the served epoch's tables forward unchanged,
+/// keeping an incremental refit `O(Δ)`. `None` with shadows off and in
+/// real-valued domains.
+fn shadow_tables(
+    store: &ShardedStore,
+    config: &RefitConfig,
+    state: &Mutex<RefitState>,
+    candidate: &EpochSnapshot,
+    served: &EpochSnapshot,
+    extraction: Option<Extraction>,
+) -> Option<Arc<ShadowTables>> {
+    if !config.shadows {
+        return None;
+    }
+    let ltm = candidate.predictor.as_boolean()?;
+    let (batches, globals) = match (extraction, &served.shadow) {
+        (Some(extraction), _) => extraction,
+        (None, Some(tables)) => return Some(Arc::clone(tables)),
+        (None, None) => {
+            let (full, globals) = store.full_databases_with_ids();
+            (full.batches, globals)
+        }
+    };
+    if batches.is_empty() {
+        return None;
+    }
+    let obs = state.locked().shadow_obs.clone();
+    let mut tables = fit_shadow_tables(&batches, &globals, ltm, obs.as_ref());
+    // `publish` numbers the candidate `served + 1`, and the refit lock
+    // keeps any other refit from publishing in between.
+    tables.epoch = served.epoch + 1;
+    Some(Arc::new(tables))
 }
 
 /// Runs one refit over the store and (maybe) publishes an epoch.
@@ -539,6 +601,7 @@ pub fn refit_once(
         mut candidate,
         watermark,
         delta_claims,
+        extraction,
     } = *folded;
     let max_rhat = candidate.max_rhat;
     let elapsed = started.elapsed().as_secs_f64();
@@ -562,26 +625,11 @@ pub fn refit_once(
     }
     let promote_started = Instant::now();
     let outcome = if promote {
-        // Shadow baselines are fit only for epochs that will actually be
-        // published (a vetoed candidate is dropped whole), on a fresh
-        // full extraction so every method — including the LTM column the
-        // candidate will serve — scores one consistent claim database
-        // keyed by global fact id. This runs on the daemon thread behind
-        // the epoch pointer-swap; queries never wait on it.
-        if config.shadows {
-            if let Some(ltm) = candidate.predictor.as_boolean().cloned() {
-                let shadow_obs = state.locked().shadow_obs.clone();
-                let (full, globals) = store.full_databases_with_ids();
-                if !full.batches.is_empty() {
-                    candidate.shadow = Some(Arc::new(crate::shadow::fit_shadow_tables(
-                        &full.batches,
-                        &globals,
-                        &ltm,
-                        shadow_obs.as_ref(),
-                    )));
-                }
-            }
-        }
+        // Shadow tables are settled only for epochs that will actually be
+        // published (a vetoed candidate is dropped whole), on the daemon
+        // thread before the epoch pointer-swap; queries never wait on
+        // them.
+        candidate.shadow = shadow_tables(store, config, state, &candidate, &current, extraction);
         let epoch = predictor.publish(candidate);
         RefitOutcome::Published {
             epoch,
@@ -1094,6 +1142,95 @@ mod tests {
             other => panic!("expected the first refit to publish, got {other:?}"),
         }
         assert_eq!(predictor.epochs_rejected(), 0);
+    }
+
+    /// `fast_config` with a gate every fit passes, so each refit promotes.
+    fn promoting_config() -> RefitConfig {
+        RefitConfig {
+            rhat_gate: f64::INFINITY,
+            ..fast_config()
+        }
+    }
+
+    fn served_tables(predictor: &EpochPredictor) -> Arc<ShadowTables> {
+        predictor
+            .load()
+            .shadow
+            .clone()
+            .expect("shadow tables served")
+    }
+
+    #[test]
+    fn incremental_refits_carry_the_shadow_tables_until_the_next_full_refit() {
+        let store = seeded_store();
+        let cfg = promoting_config();
+        let predictor = EpochPredictor::new(&cfg.ltm.priors);
+        let state = Mutex::new(RefitState::new());
+        run(&store, &predictor, &cfg, &state, 1, RefitMode::Full);
+        let first = served_tables(&predictor);
+        assert_eq!((predictor.load().epoch, first.epoch), (1, 1));
+
+        store.ingest("brand-new", "a0", "good");
+        let fresh = store.fact_id_by_name("brand-new", "a0").unwrap();
+        match run(&store, &predictor, &cfg, &state, 2, RefitMode::Incremental) {
+            RefitOutcome::Published { epoch: 2, .. } => {}
+            other => panic!("expected epoch 2, got {other:?}"),
+        }
+        let carried = served_tables(&predictor);
+        assert!(
+            Arc::ptr_eq(&first, &carried),
+            "an incremental refit fits no baselines"
+        );
+        assert_eq!(carried.epoch, 1);
+        assert!(carried.fact_ids.binary_search(&fresh).is_err());
+
+        match run(&store, &predictor, &cfg, &state, 3, RefitMode::Full) {
+            RefitOutcome::Published { epoch: 3, .. } => {}
+            other => panic!("expected epoch 3, got {other:?}"),
+        }
+        let refit = served_tables(&predictor);
+        assert!(!Arc::ptr_eq(&first, &refit), "a full refit fits afresh");
+        assert_eq!(refit.epoch, 3);
+        assert!(refit.fact_ids.binary_search(&fresh).is_ok());
+        assert_eq!(refit.num_facts(), store.stats().facts);
+    }
+
+    #[test]
+    fn a_first_promotion_from_an_incremental_fold_fits_tables() {
+        let store = seeded_store();
+        let cfg = promoting_config();
+        let predictor = EpochPredictor::new(&cfg.ltm.priors);
+        let state = Mutex::new(RefitState::new());
+        run(&store, &predictor, &cfg, &state, 1, RefitMode::Incremental);
+        let tables = served_tables(&predictor);
+        assert_eq!(tables.epoch, 1);
+        assert_eq!(tables.num_facts(), store.stats().facts);
+    }
+
+    #[test]
+    fn shadows_off_publishes_no_tables_even_over_served_ones() {
+        let store = seeded_store();
+        let cfg = promoting_config();
+        let predictor = EpochPredictor::new(&cfg.ltm.priors);
+        let state = Mutex::new(RefitState::new());
+        run(&store, &predictor, &cfg, &state, 1, RefitMode::Full);
+        served_tables(&predictor);
+        let off = RefitConfig {
+            shadows: false,
+            ..cfg
+        };
+        for (bump, mode) in [(2, RefitMode::Incremental), (3, RefitMode::Full)] {
+            store.ingest(&format!("new-{bump}"), "a0", "good");
+            let outcome = run(&store, &predictor, &off, &state, bump, mode);
+            assert!(
+                matches!(outcome, RefitOutcome::Published { .. }),
+                "{outcome:?}"
+            );
+            assert!(
+                predictor.load().shadow.is_none(),
+                "{mode} refit kept tables"
+            );
+        }
     }
 
     /// An accumulator claiming more sources than the store has interned:

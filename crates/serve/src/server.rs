@@ -44,7 +44,7 @@ use crate::model::ModelKind;
 use crate::obs::registry::{escape_label, fmt_f64};
 use crate::obs::{self, Counter, Gauge, Histogram, Registry, ScopedGauge, Unit};
 use crate::refit::{RefitConfig, RefitCounters, RefitObs, RefitState};
-use crate::shadow::{self, Agreement, ShadowObs, ShadowTables};
+use crate::shadow::{self, Agreement, ShadowColumn, ShadowObs, ShadowTables};
 use crate::snapshot;
 use crate::store::{LogRecord, ShardedStore, StoreStats};
 use crate::sync::{wait_recovered, LockExt};
@@ -411,6 +411,7 @@ struct MethodEval {
 struct EvalResponse {
     domain: String,
     epoch: u64,
+    shadow_epoch: u64,
     labels: usize,
     matched: usize,
     threshold: f64,
@@ -789,6 +790,7 @@ const DOMAIN_STATS: &[Stat] = &[
     stat("wal_replayed_rows",           counter("ltm_wal_replayed_rows_total"),      Sum,    |s| Int(s.wal.3)),
     stat("labels_loaded",               gauge("ltm_eval_labels"),                    Omit,   |s| Int(s.domain.num_labels() as u64)),
     stat("shadow_facts",                gauge("ltm_shadow_facts"),                   Omit,   |s| Int(s.epoch.shadow.as_deref().map_or(0, |t| t.num_facts()) as u64)),
+    stat("shadow_epoch",                gauge("ltm_shadow_epoch"),                   Omit,   |s| Int(s.epoch.shadow.as_deref().map_or(0, |t| t.epoch))),
     Stat { key: None, family: gauge("ltm_epoch_age_seconds"), global: Omit, read: |s| Float(s.domain.predictor().epoch_age_secs()) },
 ];
 
@@ -1126,11 +1128,19 @@ fn ingest(domain: &Domain, body: &str) -> (u16, String) {
     )
 }
 
+/// A query's `?methods=`: `all`, or a comma list of wire names.
+#[derive(Debug)]
+enum Methods {
+    /// Every column of the epoch's shadow tables plus the ensemble.
+    All,
+    /// The listed wire names, as sent.
+    Named(Vec<String>),
+}
+
 /// Parses the `?methods=` query parameter of a query path. `Ok(None)`
-/// when absent (the legacy LTM-only query), `Ok(Some(list))` with the
-/// requested wire names otherwise (`all` expands to every shadow method
-/// plus the ensemble).
-fn parse_methods_param(path: &str) -> Result<Option<Vec<String>>, String> {
+/// when absent (the legacy LTM-only query); the names are resolved later,
+/// against the answering epoch's shadow tables.
+fn parse_methods_param(path: &str) -> Result<Option<Methods>, String> {
     let Some((_, query_string)) = path.split_once('?') else {
         return Ok(None);
     };
@@ -1143,14 +1153,7 @@ fn parse_methods_param(path: &str) -> Result<Option<Vec<String>>, String> {
     }
     let Some(list) = methods else { return Ok(None) };
     if list == "all" {
-        let mut all = vec![shadow::wire_name(shadow::LTM_METHOD)];
-        all.extend(
-            ltm_baselines::all_baselines()
-                .iter()
-                .map(|m| shadow::wire_name(m.name())),
-        );
-        all.push(shadow::ENSEMBLE_METHOD.to_owned());
-        return Ok(Some(all));
+        return Ok(Some(Methods::All));
     }
     let requested: Vec<String> = list
         .split(',')
@@ -1160,7 +1163,7 @@ fn parse_methods_param(path: &str) -> Result<Option<Vec<String>>, String> {
     if requested.is_empty() {
         return Err("methods= lists no methods (use methods=all or a comma list)".into());
     }
-    Ok(Some(requested))
+    Ok(Some(Methods::Named(requested)))
 }
 
 /// Why `?methods=` is refused on a real-valued domain.
@@ -1171,56 +1174,111 @@ const NO_SHADOW_METHODS: &str = "real-valued domains have no shadow methods (dro
 const NO_SHADOW_TABLES: &str = "no shadow tables published yet (wait for the first promoted \
                                 refit, or the server runs with shadow fitting disabled)";
 
-/// Scores one boolean claim list under every requested method, given its
-/// Equation-3 `probability`, which is both the `ltm` score and the LTM
-/// member of the ensemble. Every method but `ltm` reads `tables`; a name
-/// that matches no column is an unknown method.
-fn method_scores(
-    requested: &[String],
+/// What answers one requested method.
+#[derive(Debug, Clone, Copy)]
+enum Scorer<'a> {
+    /// The live Equation-3 probability.
+    Ltm,
+    /// The trust-weighted vote of baseline column `m` of the shadow
+    /// tables.
+    Vote(usize, &'a ShadowColumn),
+    /// The rank-average ensemble of the live probability and every
+    /// baseline's vote, ranked against these tables.
+    Ensemble(&'a ShadowTables),
+}
+
+/// Resolves a request's `?methods=` once against the answering epoch's
+/// shadow `tables`: each distinct requested wire name with what scores
+/// it. A name beyond `ltm` without tables is the 409
+/// [`NO_SHADOW_TABLES`]; one that matches no column is a 400.
+fn resolve_methods(
+    methods: Methods,
     tables: Option<&ShadowTables>,
+) -> Result<Vec<(String, Scorer<'_>)>, (u16, String)> {
+    let names = match (methods, tables) {
+        (Methods::Named(names), _) => names,
+        (Methods::All, Some(tables)) => tables
+            .methods
+            .iter()
+            .map(|col| shadow::wire_name(&col.name))
+            .chain([shadow::ENSEMBLE_METHOD.to_owned()])
+            .collect(),
+        (Methods::All, None) => return Err(error(409, NO_SHADOW_TABLES)),
+    };
+    let ltm_wire = shadow::wire_name(shadow::LTM_METHOD);
+    let mut scorers: Vec<(String, Scorer<'_>)> = Vec::with_capacity(names.len());
+    for wire in names {
+        let scorer = if wire == ltm_wire {
+            Some(Scorer::Ltm)
+        } else if wire == shadow::ENSEMBLE_METHOD {
+            tables.map(Scorer::Ensemble)
+        } else {
+            tables.and_then(|tables| {
+                let m = tables.method_index(&wire)?;
+                Some(Scorer::Vote(m, tables.methods.get(m)?))
+            })
+        };
+        let Some(scorer) = scorer else {
+            return Err(match tables {
+                None => error(409, NO_SHADOW_TABLES),
+                Some(tables) => error(400, unknown_method(&wire, tables)),
+            });
+        };
+        if !scorers.iter().any(|(name, _)| *name == wire) {
+            scorers.push((wire, scorer));
+        }
+    }
+    Ok(scorers)
+}
+
+/// The 400 text for a `?methods=` name that matches no column of
+/// `tables`.
+fn unknown_method(wire: &str, tables: &ShadowTables) -> String {
+    let baselines: Vec<String> = tables
+        .methods
+        .iter()
+        .skip(1)
+        .map(|col| shadow::wire_name(&col.name))
+        .collect();
+    format!(
+        "unknown method `{wire}` (use methods=all, or a comma list of ltm, ensemble, {})",
+        baselines.join(", ")
+    )
+}
+
+/// Scores one boolean claim list under every resolved method, given its
+/// Equation-3 `probability`, which is both the `ltm` score and the LTM
+/// member of the ensemble. With the ensemble requested, each baseline's
+/// vote is computed once and shared with that baseline's own answer.
+fn method_scores(
+    scorers: &[(String, Scorer<'_>)],
     probability: f64,
     claims: &[(SourceId, bool)],
-) -> Result<BTreeMap<String, f64>, String> {
-    let ltm_wire = shadow::wire_name(shadow::LTM_METHOD);
-    let mut out = BTreeMap::new();
-    for wire in requested {
-        let score = if *wire == ltm_wire {
-            Some(probability)
-        } else if *wire == shadow::ENSEMBLE_METHOD {
-            tables.map(|tables| {
-                let per_method: Vec<f64> = tables
-                    .methods
-                    .iter()
-                    .enumerate()
-                    .map(|(m, col)| {
-                        if m == 0 {
-                            probability
-                        } else {
-                            shadow::score_claims(&col.trust, claims)
-                        }
-                    })
-                    .collect();
-                tables.ensemble_of(&per_method)
-            })
-        } else {
-            tables
-                .and_then(|tables| tables.methods.get(tables.method_index(wire)?))
-                .map(|col| shadow::score_claims(&col.trust, claims))
-        };
-        let Some(score) = score else {
-            return Err(format!(
-                "unknown method `{wire}` (use methods=all, or a comma list of \
-                 ltm, ensemble, {})",
-                ltm_baselines::all_baselines()
-                    .iter()
-                    .map(|m| shadow::wire_name(m.name()))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        };
-        out.insert(wire.clone(), score);
-    }
-    Ok(out)
+) -> BTreeMap<String, f64> {
+    let ensemble = scorers.iter().find_map(|(_, scorer)| match scorer {
+        Scorer::Ensemble(tables) => Some(*tables),
+        _ => None,
+    });
+    let per_method: Vec<f64> = ensemble.map_or_else(Vec::new, |tables| {
+        let votes = tables.methods.iter().skip(1);
+        std::iter::once(probability)
+            .chain(votes.map(|col| shadow::score_claims(&col.trust, claims)))
+            .collect()
+    });
+    scorers
+        .iter()
+        .map(|(name, scorer)| {
+            let score = match *scorer {
+                Scorer::Ltm => probability,
+                Scorer::Vote(m, col) => per_method
+                    .get(m)
+                    .copied()
+                    .unwrap_or_else(|| shadow::score_claims(&col.trust, claims)),
+                Scorer::Ensemble(tables) => tables.ensemble_of(&per_method),
+            };
+            (name.clone(), score)
+        })
+        .collect()
 }
 
 /// One ad-hoc claim list parsed per the domain's kind: exactly one of
@@ -1289,28 +1347,22 @@ fn parse_claim_rows(domain: &Domain, rows: &[Value], label: &str) -> Result<Pars
 /// The one answer path of `/query` and `/query/batch`: answers every
 /// claim list against **one** epoch snapshot, so the answers agree with
 /// each other and no promotion lands between two of them. `?methods=` is
-/// refused with 409 on a real-valued domain, then with 409 for methods
-/// beyond `ltm` while the epoch has no shadow tables, each checked once;
-/// an unknown method is a 400 when the first list is scored. Each list's
-/// probability is computed once. Returns the epoch and the answers in
-/// list order.
+/// refused with 409 on a real-valued domain, then resolved once against
+/// the epoch's shadow tables (see [`resolve_methods`]), so an unknown
+/// method is a 400 even in an empty batch. Each list's probability is
+/// computed once. Returns the epoch and the answers in list order.
 fn answer(
     domain: &Domain,
-    methods: Option<&[String]>,
+    methods: Option<Methods>,
     lists: Vec<ParsedClaims>,
 ) -> Result<(u64, Vec<Answer>), (u16, String)> {
     let valued = domain.kind().valued();
     let snap = domain.predictor().load();
-    let tables = snap.shadow.as_deref();
-    if let Some(requested) = methods {
-        if valued {
-            return Err(error(409, NO_SHADOW_METHODS));
-        }
-        let ltm_wire = shadow::wire_name(shadow::LTM_METHOD);
-        if tables.is_none() && requested.iter().any(|m| *m != ltm_wire) {
-            return Err(error(409, NO_SHADOW_TABLES));
-        }
-    }
+    let scorers = match methods {
+        None => None,
+        Some(_) if valued => return Err(error(409, NO_SHADOW_METHODS)),
+        Some(methods) => Some(resolve_methods(methods, snap.shadow.as_deref())?),
+    };
     let mut answers = Vec::with_capacity(lists.len());
     for list in lists {
         let probability = if valued {
@@ -1318,10 +1370,9 @@ fn answer(
         } else {
             snap.predictor.predict_fact(&list.bool_claims)
         };
-        let scores = methods
-            .map(|requested| method_scores(requested, tables, probability, &list.bool_claims))
-            .transpose()
-            .map_err(|e| error(400, e))?;
+        let scores = scorers
+            .as_deref()
+            .map(|scorers| method_scores(scorers, probability, &list.bool_claims));
         answers.push(Answer {
             probability,
             unknown_sources: list.unknown,
@@ -1350,7 +1401,7 @@ fn query(domain: &Domain, path: &str, body: &str) -> (u16, String) {
         Ok(list) => list,
         Err(e) => return error(400, e),
     };
-    match answer(domain, methods.as_deref(), vec![list]) {
+    match answer(domain, methods, vec![list]) {
         Ok((epoch, answers)) => {
             let mut fields = vec![("domain".to_owned(), domain.name().to_value())];
             fields.extend(answers.iter().flat_map(|a| a.fields(Some(epoch))));
@@ -1393,7 +1444,7 @@ fn query_batch(ctx: &Context, domain: &Domain, path: &str, body: &str) -> (u16, 
     if ctx.metrics {
         ctx.batch_size.record(lists.len() as u64);
     }
-    match answer(domain, methods.as_deref(), lists) {
+    match answer(domain, methods, lists) {
         Ok((epoch, results)) => json(
             200,
             &BatchResponse {
@@ -1410,7 +1461,8 @@ fn query_batch(ctx: &Context, domain: &Domain, path: &str, body: &str) -> (u16, 
 /// `GET …/eval` — joins the loaded ground-truth labels against the
 /// current epoch's shadow tables (by `(entity, attr)` name → global fact
 /// id) and reports accuracy/precision/recall/F1/AUC/Brier per method,
-/// including the rank-average ensemble.
+/// including the rank-average ensemble. The scores are those of the
+/// tables' own epoch, reported as `shadow_epoch`.
 fn eval(domain: &Domain) -> (u16, String) {
     let labels = domain.labels();
     if labels.is_empty() {
@@ -1486,6 +1538,7 @@ fn eval(domain: &Domain) -> (u16, String) {
         &EvalResponse {
             domain: domain.name().to_owned(),
             epoch: snap.epoch,
+            shadow_epoch: tables.epoch,
             labels: labels.len(),
             matched: rows.len(),
             threshold,

@@ -2,13 +2,17 @@
 //!
 //! The paper's headline claim (§6.2, Table 7) is that LTM beats seven
 //! prior truth-finding methods. This module keeps that comparison running
-//! *in production*: every refit also fits the cheap iterative baselines
-//! (`ltm_baselines::all_baselines`) on one merged full extraction of the
-//! store, and the resulting per-fact score tables are published inside the
-//! [`crate::epoch::EpochSnapshot`] swap. Shadow answers are therefore
-//! always mutually consistent — every method saw exactly the same claim
-//! database — and never block queries (they are fit on the refit daemon's
-//! thread, behind the same epoch pointer-swap as the LTM predictor).
+//! *in production*: every full refit that promotes (and the first
+//! promotion of a domain) also fits the cheap iterative baselines
+//! (`ltm_baselines::all_baselines`) on the fold's merged full extraction,
+//! and the resulting per-fact score tables are published inside the
+//! [`crate::epoch::EpochSnapshot`] swap. Incremental refits carry the
+//! served tables forward unchanged, so they stay `O(Δ)`;
+//! [`ShadowTables::epoch`] names the epoch the tables were fit for. Shadow
+//! answers are therefore always mutually consistent — every method saw
+//! exactly the same claim database — and never block queries (they are
+//! fit on the refit daemon's thread, behind the same epoch pointer-swap as
+//! the LTM predictor).
 //!
 //! Three derived artifacts ride along with the score tables:
 //!
@@ -74,12 +78,19 @@ pub struct Agreement {
     pub decision_flips: Vec<Vec<u64>>,
 }
 
-/// The published shadow state of one epoch: every method's scores on the
-/// extraction the epoch was fit from, the rank-average ensemble, and the
+/// The published shadow state: every method's scores on the extraction of
+/// the epoch the tables were fit for, the rank-average ensemble, and the
 /// agreement matrices. Immutable once published (swapped whole inside the
-/// epoch `Arc`).
-#[derive(Debug, Clone, PartialEq)]
+/// epoch `Arc`, and shared by the epochs that carry it forward).
+///
+/// Equality compares the fitted content and ignores [`ShadowTables::epoch`],
+/// which says where the tables were published rather than what they hold:
+/// an offline fit of the same extraction equals the published tables.
+#[derive(Debug, Clone)]
 pub struct ShadowTables {
+    /// The epoch the tables were fit for (0 until the publishing refit
+    /// stamps it). Later epochs that carry the tables forward keep it.
+    pub epoch: u64,
     /// Global fact ids of the extraction rows, sorted ascending.
     pub fact_ids: Vec<u64>,
     /// Score columns; `methods[0]` is always the LTM column, the rest
@@ -94,10 +105,21 @@ pub struct ShadowTables {
     sorted: Vec<Vec<f64>>,
 }
 
+impl PartialEq for ShadowTables {
+    fn eq(&self, other: &Self) -> bool {
+        self.fact_ids == other.fact_ids
+            && self.methods == other.methods
+            && self.ensemble == other.ensemble
+            && self.agreement == other.agreement
+            && self.sorted == other.sorted
+    }
+}
+
 impl ShadowTables {
-    /// Assembles published tables from fitted columns: computes the
-    /// ensemble, the agreement matrices, and the sorted percentile
-    /// indexes. `fact_ids` must be parallel to every column's scores.
+    /// Assembles unstamped tables (`epoch` 0) from fitted columns:
+    /// computes the ensemble, the agreement matrices, and the sorted
+    /// percentile indexes. `fact_ids` must be parallel to every column's
+    /// scores.
     pub fn assemble(fact_ids: Vec<u64>, methods: Vec<ShadowColumn>) -> Self {
         let columns: Vec<&[f64]> = methods.iter().map(|m| m.scores.as_slice()).collect();
         let ensemble = rank_average(&columns);
@@ -115,6 +137,7 @@ impl ShadowTables {
             })
             .collect();
         Self {
+            epoch: 0,
             fact_ids,
             methods,
             ensemble,
@@ -129,9 +152,15 @@ impl ShadowTables {
     }
 
     /// The column index of a method by wire name (`"ltm"`, `"voting"`,
-    /// `"3-estimates"`, …).
+    /// `"3-estimates"`, …). Wire names are lowercase, so `"Voting"`
+    /// names no column.
     pub fn method_index(&self, wire: &str) -> Option<usize> {
-        self.methods.iter().position(|m| wire_name(&m.name) == wire)
+        if wire.bytes().any(|b| b.is_ascii_uppercase()) {
+            return None;
+        }
+        self.methods
+            .iter()
+            .position(|m| m.name.eq_ignore_ascii_case(wire))
     }
 
     /// Ranks an ad-hoc score `q` against method column `m`'s fitted score
@@ -203,9 +232,10 @@ pub fn merge_extraction(batches: &[ClaimDb], globals: &[Vec<u64>]) -> (ClaimDb, 
 }
 
 /// Fits the LTM column and every baseline on one merged extraction and
-/// assembles the publishable tables. `ltm` is the candidate epoch's
-/// Equation-3 predictor, so the LTM column is exactly what the epoch will
-/// serve. Per-method fit latencies are recorded into `obs` when attached.
+/// assembles the publishable tables, unstamped. `ltm` is the candidate
+/// epoch's Equation-3 predictor, so the LTM column is exactly what the
+/// epoch will serve. Per-method fit latencies are recorded into `obs` when
+/// attached.
 pub fn fit_shadow_tables(
     batches: &[ClaimDb],
     globals: &[Vec<u64>],

@@ -87,6 +87,10 @@ pub struct RealPredictorRec {
 /// bit-identical shadow answers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShadowRec {
+    /// The epoch the tables were fit for ([`ShadowTables::epoch`]).
+    /// Absent in files written before it was recorded, where it restores
+    /// as the epoch record's own number.
+    pub epoch: Option<u64>,
     /// Global fact ids of the fit extraction, ascending.
     pub fact_ids: Vec<u64>,
     /// Score columns, LTM first then Table 7 order.
@@ -191,16 +195,21 @@ impl Snapshot {
 /// restore).
 fn capture_shadow(tables: &ShadowTables) -> ShadowRec {
     ShadowRec {
+        epoch: Some(tables.epoch),
         fact_ids: tables.fact_ids.clone(),
         methods: tables.methods.clone(),
     }
 }
 
 /// Rebuilds full shadow tables (ensemble, agreement, percentile indexes)
-/// from persisted columns. Deterministic, so a save/restore round-trip
-/// serves bit-identical shadow answers.
-fn restore_shadow(rec: &ShadowRec) -> ShadowTables {
-    ShadowTables::assemble(rec.fact_ids.clone(), rec.methods.clone())
+/// from persisted columns, stamped with their recorded epoch or, failing
+/// that, with `epoch`, the number of the epoch record holding them.
+/// Deterministic, so a save/restore round-trip serves bit-identical
+/// shadow answers.
+fn restore_shadow(rec: &ShadowRec, epoch: u64) -> ShadowTables {
+    let mut tables = ShadowTables::assemble(rec.fact_ids.clone(), rec.methods.clone());
+    tables.epoch = rec.epoch.unwrap_or(epoch);
+    tables
 }
 
 /// Captures one domain's state, appending its rows' frames to `frames`:
@@ -659,7 +668,10 @@ fn restore_domain(
             converged_fraction: e.converged_fraction,
             trained_claims: e.trained_claims,
             trained_sources: e.trained_sources,
-            shadow: e.shadow.as_ref().map(|s| Arc::new(restore_shadow(s))),
+            shadow: e
+                .shadow
+                .as_ref()
+                .map(|s| Arc::new(restore_shadow(s, e.epoch))),
         });
     }
     Ok(())
@@ -740,6 +752,51 @@ mod tests {
             before.predictor.predict_fact(&claims),
             "bit-identical predictions after restore"
         );
+    }
+
+    #[test]
+    fn shadow_epoch_round_trips_and_defaults_to_the_epoch_number() {
+        let set = boolean_set(2);
+        let domain = set.default_domain();
+        domain.store().ingest("e0", "a0", "s0");
+        let column = ShadowColumn {
+            name: crate::shadow::LTM_METHOD.to_owned(),
+            scores: vec![0.8],
+            trust: vec![0.9],
+        };
+        let mut tables = ShadowTables::assemble(vec![0], vec![column]);
+        tables.epoch = 3;
+        let mut snap = EpochSnapshot::boot(&RefitConfig::default().ltm.priors);
+        snap.epoch = 5;
+        snap.shadow = Some(Arc::new(tables));
+        domain.predictor().restore(snap);
+
+        let path = temp_path("shadow-epoch.bin");
+        save(&set, &path).unwrap();
+        let mut loaded = load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let restored = |snapshot: &Snapshot| {
+            let fresh = boolean_set(2);
+            restore(snapshot, &fresh, &RefitConfig::default()).unwrap();
+            let snap = fresh.default_domain().predictor().load();
+            (snap.epoch, snap.shadow.as_ref().map(|t| t.epoch))
+        };
+        assert_eq!(restored(&loaded), (5, Some(3)));
+
+        // A header written before shadow epochs were recorded lacks the
+        // key: the tables restore as the epoch's own.
+        let rec = loaded.domains[0]
+            .epoch
+            .as_mut()
+            .and_then(|e| e.shadow.as_mut())
+            .unwrap();
+        let legacy = serde_json::to_string(&*rec)
+            .unwrap()
+            .replacen("\"epoch\":3,", "", 1);
+        assert!(!legacy.contains("epoch"), "{legacy}");
+        *rec = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(rec.epoch, None);
+        assert_eq!(restored(&loaded), (5, Some(5)));
     }
 
     #[test]

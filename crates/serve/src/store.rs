@@ -9,7 +9,7 @@
 //! split across shards.
 //!
 //! Each shard is an append log of deduplicated rows plus incrementally
-//! maintained coverage indexes; [`ShardedStore::full_databases`] rebuilds
+//! maintained coverage indexes; [`ShardedStore::full_databases_with_ids`] rebuilds
 //! each shard's CSR [`ClaimDb`] from the log when the refit daemon asks
 //! for it, and [`ShardedStore::shard_databases_since`] extracts only the
 //! **delta** — facts touched since a fold watermark — so an incremental
@@ -178,7 +178,7 @@ pub struct StoreStats {
 
 /// One extraction from the store: per-shard batches over the global
 /// source-id space, plus the fold watermark the batches cover. Returned
-/// by the full rebuilds ([`ShardedStore::full_databases`],
+/// by the full rebuilds ([`ShardedStore::full_databases_with_ids`],
 /// [`ShardedStore::full_real_databases`]) and the delta paths
 /// ([`ShardedStore::shard_databases_since`],
 /// [`ShardedStore::real_databases_since`]); the batch type is
@@ -717,7 +717,12 @@ impl ShardedStore {
     }
 
     /// Rebuilds every non-empty shard as a [`ClaimDb`] over the global
-    /// source-id space — the **full** (reconciliation) extraction.
+    /// source-id space — the **full** (reconciliation) extraction — plus,
+    /// per batch, the global fact id of every batch row (batch fact index
+    /// `i` ↔ `ids[i]`). A full refit folds the batches and fits the shadow
+    /// baselines on the same extraction, whose score tables are keyed by
+    /// global fact id so `/eval`, `/stats` agreement, and snapshot
+    /// persistence all address the same rows.
     ///
     /// Every shard lock is acquired *before* the source count and the
     /// accepted-row sequence are read: ingest interns a triple's source
@@ -726,15 +731,6 @@ impl ShardedStore {
     /// beyond `num_sources()` and every row numbered at or below the
     /// returned watermark is present in the batches. Ingestion stalls
     /// only for the rebuild itself, never for the fit that follows.
-    pub fn full_databases(&self) -> StoreDelta {
-        self.full_databases_with_ids().0
-    }
-
-    /// [`ShardedStore::full_databases`] plus, per batch, the global fact
-    /// id of every batch row (batch fact index `i` ↔ `ids[i]`). This is
-    /// the extraction behind the shadow baseline fits, which key their
-    /// published score tables by global fact id so `/eval`, `/stats`
-    /// agreement, and snapshot persistence all address the same rows.
     pub fn full_databases_with_ids(&self) -> (StoreDelta, Vec<Vec<u64>>) {
         let guards: Vec<_> = self.shards.iter().map(|s| s.locked()).collect();
         let watermark = self.accepted_seq();
@@ -811,7 +807,7 @@ impl ShardedStore {
         }
     }
 
-    /// [`ShardedStore::full_databases`] for valued domains: rebuilds
+    /// [`ShardedStore::full_databases_with_ids`] for valued domains: rebuilds
     /// every non-empty shard as a [`RealClaimDb`] (negative rows at
     /// `0.0`). Same locking discipline as the boolean full rebuild.
     pub fn full_real_databases(&self) -> RealStoreDelta {
@@ -976,7 +972,8 @@ mod tests {
             assert_eq!(stats.positive_claims, 8, "{shards} shards");
             assert_eq!(stats.sources, 4);
             let total: usize = store
-                .full_databases()
+                .full_databases_with_ids()
+                .0
                 .batches
                 .iter()
                 .map(|db| db.num_claims())
@@ -1122,7 +1119,7 @@ mod tests {
     #[test]
     fn shard_databases_share_global_source_space() {
         let store = table1_store(8);
-        for db in store.full_databases().batches {
+        for db in store.full_databases_with_ids().0.batches {
             assert_eq!(db.num_sources(), 4);
         }
     }
@@ -1130,7 +1127,7 @@ mod tests {
     #[test]
     fn delta_since_zero_matches_full_extraction() {
         let store = table1_store(4);
-        let full = store.full_databases();
+        let full = store.full_databases_with_ids().0;
         let delta = store.shard_databases_since(0);
         assert_eq!(delta.watermark, full.watermark);
         assert_eq!(delta.watermark, store.accepted_seq());
@@ -1233,7 +1230,8 @@ mod tests {
             store.ingest(e, a, s);
             // Independent recompute from the CSR rebuild path.
             let rebuilt: usize = store
-                .full_databases()
+                .full_databases_with_ids()
+                .0
                 .batches
                 .iter()
                 .map(|db| db.num_claims())

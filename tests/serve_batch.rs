@@ -343,6 +343,16 @@ fn batch_rejects_what_a_single_query_rejects_with_the_same_status() {
     }
     both("", "?methods=oracle", claims, 400);
     both("", "?methods=voting", claims, 200);
+    // Method names resolve before any list is scored, so an empty batch
+    // is no exception.
+    let (status, response) = http_call(
+        addr,
+        "POST",
+        "/query/batch?methods=oracle",
+        Some("{\"queries\":[]}"),
+    )
+    .unwrap();
+    assert_eq!(status, 400, "{response}");
 
     // A non-array entry and a malformed one fail the batch, naming it.
     for (queries, named) in [
